@@ -91,6 +91,9 @@ def _output_ok(path):
         return False
     if path.endswith(".csv"):
         with open(path) as fh:
+            # a header may name a column "info"; only data lines can hold
+            # these letters, and in numeric data only as non-finite values
+            next(fh, None)
             for line in fh:
                 low = line.lower()
                 if "nan" in low or "inf" in low:
@@ -249,11 +252,19 @@ def cmd_verify(args, file_config):
         ratio = float(np.max(gap_out / gap_in))
         bound = stability.composed_lipschitz_bound(net)
         budget = net.lipschitz_budget if net.lipschitz_budget is not None else bound
+        within = ratio <= budget + 1e-6
         ctx.add(experiments.write_csv(
             os.path.join(args.out_dir, "verify_lipschitz.csv"),
             "n_pairs,max_ratio,composed_bound,budget,within_budget",
-            [(n_pairs, ratio, bound, float(budget),
-              int(ratio <= budget + 1e-6))]))
+            [(n_pairs, ratio, bound, float(budget), int(within))]))
+        problems = [f"block {i} {name}: h = {h:.6g} breaks h * norm^2 <= 2 "
+                    f"at norm {norm:.6g} with n_steps {n_steps}"
+                    for i, name, norm, n_steps, h, ok in rows if not ok]
+        if not within:
+            problems.append(f"empirical Lipschitz ratio {ratio:.6g} exceeds the "
+                            f"budget {float(budget):.6g} ({ratio / budget:.4g}x)")
+        if problems:
+            ctx.fail("verification failed: " + "; ".join(problems))
 
         n_cert = int(cfg["certificates"])
         if net.dim_out >= 2 and n_cert > 0:

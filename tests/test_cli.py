@@ -103,6 +103,34 @@ class TestVerify:
         assert all(line.split(",")[-1] == "1" for line in spectral)
         assert (out / "verify_certificates.csv").exists()
 
+    def test_tampered_checkpoint_fails(self, tmp_path):
+        net = inverse.build_invnet(2.0, seed=0)
+        for block in net.nonexpansive_blocks():
+            block.weight *= 3.0
+        ckpt = tmp_path / "ckpt"
+        save_network(net, ckpt)
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n-pairs=2000\ncertificates=10\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--checkpoint", str(ckpt),
+                      "--out-dir", str(out), "--config", str(cfg)])
+        assert exc.value.code not in (0, None)
+        manifest = read(out / "manifest.txt")
+        assert "status failed" in manifest
+        assert "block 1 weight" in manifest
+        assert "exceeds the budget" in manifest
+        assert not (out / "verify_lipschitz.csv").exists()
+
+
+class TestOutputCheck:
+    def test_header_words_are_not_non_finite_values(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("step,info,nanoseconds\n0,1.5,2\n")
+        assert cli._output_ok(str(path))
+        path.write_text("step,info,nanoseconds\n0,inf,2\n")
+        assert not cli._output_ok(str(path))
+
 
 class TestExperimentSmokes:
     def test_inverse_smoke(self, tmp_path):

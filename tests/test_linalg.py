@@ -117,12 +117,60 @@ class TestSpectralNormOracle:
         assert abs(pm - linalg.spectral_norm_oracle(a)) <= 1e-8
 
     def test_jacobi_matches_lapack(self, rng):
-        for n in (2, 5, 9):
+        # odd sizes exercise the round-robin bye, n = 1 the trivial case
+        for n in (1, 2, 3, 5, 8, 9, 40):
             s = rng.standard_normal((n, n))
             s = 0.5 * (s + s.T)
             mine = linalg.jacobi_eigenvalues(s)
             ref = np.linalg.eigvalsh(s)
             assert np.max(np.abs(mine - ref)) <= 1e-10
+            assert np.max(np.abs(mine - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_round_robin_meets_every_pair_once(self):
+        for n in (2, 3, 8, 9):
+            rounds = linalg._round_robin_pairs(n)
+            assert len(rounds) == n - 1 + n % 2
+            pairs = []
+            for p, q in rounds:
+                assert np.all(p < q) and np.all(q < n)
+                assert len(set(p) | set(q)) == 2 * len(p)  # disjoint in a round
+                pairs += list(zip(p.tolist(), q.tolist()))
+            assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_jacobi_equal_diagonals(self):
+        # theta = 0: the rotation angle is pi / 4
+        mine = linalg.jacobi_eigenvalues(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert np.max(np.abs(mine - np.array([0.0, 2.0]))) <= 1e-15
+
+    def test_jacobi_gapped_gram_matrix(self, rng):
+        a = gapped_matrix(rng, 128, 196, top=2.0, gap=0.6)
+        gram = a @ a.T
+        mine = linalg.jacobi_eigenvalues(gram)
+        ref = np.linalg.eigvalsh(gram)
+        assert np.max(np.abs(mine - ref)) <= 1e-10 * ref[-1]
+
+    def test_jacobi_stops_when_converged(self, monkeypatch):
+        # Once converged, the skip rule leaves the matrix unchanged, so a
+        # stopping test that never fires shows only in the sweep count: the
+        # rounds of a sweep are iterated once per sweep.
+        sweeps = []
+
+        class CountedRounds(list):
+            def __iter__(self):
+                sweeps.append(1)
+                return super().__iter__()
+
+        pairs = linalg._round_robin_pairs
+        monkeypatch.setattr(linalg, "_round_robin_pairs",
+                            lambda n: CountedRounds(pairs(n)))
+        # seed 5: here sqrt(||w||^2 - ||diag w||^2) stays at 1.2e-7 after
+        # convergence, far above the threshold of 1.1e-11
+        a = gapped_matrix(np.random.default_rng(5), 128, 196, top=2.0, gap=0.6)
+        gram = a @ a.T
+        capped = linalg.jacobi_eigenvalues(gram, max_sweeps=20)
+        sweeps.clear()
+        assert np.array_equal(linalg.jacobi_eigenvalues(gram), capped)
+        assert len(sweeps) < 20
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
