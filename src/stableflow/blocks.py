@@ -1,8 +1,10 @@
 """Network layers with explicit forward passes and hand-derived backward passes.
 
-Every block maps row vectors (or stacks of rows) to row vectors and knows how
+Every block maps a vector or a stack of rows to the same form and knows how
 to pull an upstream gradient back to its input and parameters.  There is no
 general autodiff here: each backward pass is written out per block kind.
+``Block`` turns a single vector into a one-row stack and back, so each kind
+writes its maths once, on stacks of rows.
 
 Conventions: a weight of shape (H, d) acts on a d-vector as ``w @ x`` in
 column form, i.e. ``x @ w.T`` on rows.  Parameter updates mutate the arrays
@@ -56,11 +58,44 @@ def _rows(x):
     raise InvalidInputError(f"expected a vector or a stack of rows, got shape {x.shape}")
 
 
-def _unrows(x, single):
-    return x[0] if single else x
+class Block:
+    """Base of the layer kinds.  A kind writes ``_forward(rows)`` and
+    ``_backward(cache, grad_rows)`` on 2-d stacks of rows; a single vector
+    passes through them as one row.  ``param_names`` names the parameter
+    attributes; ``checkpoint_attrs`` holds the (attribute, parser) pairs a
+    checkpoint's manifest line stores besides them, in manifest order.
+    """
+
+    kind = None
+    param_names = ()
+    checkpoint_attrs = ()
+
+    def params(self):
+        """The live parameter arrays by name, in ``param_names`` order."""
+        return {name: getattr(self, name) for name in self.param_names}
+
+    def forward(self, x):
+        return self.forward_with_cache(x)[0]
+
+    def forward_with_cache(self, x):
+        xs, single = _rows(x)
+        y, cache = self._forward(xs)
+        return (y[0] if single else y), cache
+
+    def backward(self, cache, grad_out):
+        g, single = _rows(grad_out)
+        gx, grads = self._backward(cache, g)
+        return (gx[0] if single else gx), grads
 
 
-class NonExpansiveBlock:
+def _step_count(text):
+    n = int(text)
+    if n < 1:
+        raise InvalidInputError(f"n_steps must be at least 1, got {n}")
+    return n
+
+
+class NonExpansiveBlock(Block):
     """Explicit Euler sub-steps of the gradient flow of a convex potential:
     x <- x - h * W^T relu(W x + b) with h = total_time / n_steps.
 
@@ -71,9 +106,11 @@ class NonExpansiveBlock:
     """
 
     kind = "nonexpansive"
+    param_names = ("weight", "bias")
+    checkpoint_attrs = (("total_time", float), ("norm_inflation", float),
+                        ("n_steps", _step_count))
 
-    def __init__(self, weight, bias, total_time=1.0, norm_inflation=1.01,
-                 spectral_iterations=100):
+    def __init__(self, weight, bias, total_time=1.0, norm_inflation=1.01):
         self.weight = np.array(weight, dtype=float)
         self.bias = np.array(bias, dtype=float)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
@@ -84,7 +121,7 @@ class NonExpansiveBlock:
         self.norm_inflation = float(norm_inflation)
         self.spectral = None
         self.n_steps = 1
-        self.refresh_spectral(spectral_iterations)
+        self.refresh_spectral(100)
         self.update_step_count()
 
     @classmethod
@@ -97,9 +134,6 @@ class NonExpansiveBlock:
         return self.weight.shape[1]
 
     dim_out = dim_in
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
 
     def refresh_spectral(self, iterations=1):
         """Advance the power-method estimate; warm-starts from the last vector."""
@@ -116,24 +150,18 @@ class NonExpansiveBlock:
         self.n_steps = max(1, int(np.ceil(self.total_time * norm * norm / 2.0)))
         return self.n_steps
 
-    def forward(self, x):
-        y, _ = self.forward_with_cache(x)
-        return y
-
-    def forward_with_cache(self, x):
+    def _forward(self, xs):
         if self.n_steps < 1:
             raise InvalidStateError("block has no integration sub-steps")
-        xs, single = _rows(x)
         h = self.total_time / self.n_steps
         steps = []
         for _ in range(self.n_steps):
             z = xs @ self.weight.T + self.bias
             steps.append((xs, z))
             xs = xs - h * relu(z) @ self.weight
-        return _unrows(xs, single), {"steps": steps, "h": h, "single": single}
+        return xs, {"steps": steps, "h": h}
 
-    def backward(self, cache, grad_out):
-        g, _ = _rows(grad_out)
+    def _backward(self, cache, g):
         h = cache["h"]
         gw = np.zeros_like(self.weight)
         gb = np.zeros_like(self.bias)
@@ -144,17 +172,22 @@ class NonExpansiveBlock:
             gw -= h * (r.T @ g + mg.T @ x_in)
             gb -= h * mg.sum(axis=0)
             g = g - h * mg @ self.weight
-        return _unrows(g, cache["single"]), {"weight": gw, "bias": gb}
+        return g, {"weight": gw, "bias": gb}
 
     def lipschitz_bound(self):
-        return 1.0
+        # each sub-step's Jacobian I - h W^T D W (D a 0/1 diagonal) has its
+        # spectrum in [1 - h ||W||^2, 1]
+        q = self.total_time / self.n_steps * np.linalg.norm(self.weight, 2) ** 2
+        return float(max(1.0, q - 1.0) ** self.n_steps)
 
 
-class ResidualBlock:
+class ResidualBlock(Block):
     """Skip-connection layer x + h * B relu(A x + b); an explicit Euler step of
     a vector field whose flow is not non-expansive in general."""
 
     kind = "residual"
+    param_names = ("weight_in", "weight_out", "bias")
+    checkpoint_attrs = (("h", float),)
 
     def __init__(self, weight_in, weight_out, bias, h=1.0):
         self.weight_in = np.array(weight_in, dtype=float)    # (H, d)
@@ -178,22 +211,12 @@ class ResidualBlock:
 
     dim_out = dim_in
 
-    def params(self):
-        return {"weight_in": self.weight_in, "weight_out": self.weight_out,
-                "bias": self.bias}
-
-    def forward(self, x):
-        y, _ = self.forward_with_cache(x)
-        return y
-
-    def forward_with_cache(self, x):
-        xs, single = _rows(x)
+    def _forward(self, xs):
         z = xs @ self.weight_in.T + self.bias
         y = xs + self.h * relu(z) @ self.weight_out.T
-        return _unrows(y, single), {"x": xs, "z": z, "single": single}
+        return y, {"x": xs, "z": z}
 
-    def backward(self, cache, grad_out):
-        g, _ = _rows(grad_out)
+    def _backward(self, cache, g):
         z, xs = cache["z"], cache["x"]
         mask = z > 0
         r = np.where(mask, z, 0.0)
@@ -203,18 +226,19 @@ class ResidualBlock:
             "weight_in": self.h * (mg.T @ xs),
             "bias": self.h * mg.sum(axis=0),
         }
-        gx = g + self.h * mg @ self.weight_in
-        return _unrows(gx, cache["single"]), grads
+        return g + self.h * mg @ self.weight_in, grads
 
     def lipschitz_bound(self):
         return 1.0 + self.h * (linalg.spectral_norm_oracle(self.weight_out)
                                * linalg.spectral_norm_oracle(self.weight_in))
 
 
-class MLPLayer:
+class MLPLayer(Block):
     """Plain two-matrix perceptron layer B sigma(A x + b), no skip connection."""
 
     kind = "mlp"
+    param_names = ("weight_in", "weight_out", "bias")
+    checkpoint_attrs = (("activation", str),)
 
     def __init__(self, weight_in, weight_out, bias, activation="tanh"):
         self.weight_in = np.array(weight_in, dtype=float)    # (H, d_in)
@@ -240,24 +264,13 @@ class MLPLayer:
     def dim_out(self):
         return self.weight_out.shape[0]
 
-    def params(self):
-        return {"weight_in": self.weight_in, "weight_out": self.weight_out,
-                "bias": self.bias}
-
-    def forward(self, x):
-        y, _ = self.forward_with_cache(x)
-        return y
-
-    def forward_with_cache(self, x):
+    def _forward(self, xs):
         act, _ = ACTIVATIONS[self.activation]
-        xs, single = _rows(x)
         z = xs @ self.weight_in.T + self.bias
-        y = act(z) @ self.weight_out.T
-        return _unrows(y, single), {"x": xs, "z": z, "single": single}
+        return act(z) @ self.weight_out.T, {"x": xs, "z": z}
 
-    def backward(self, cache, grad_out):
+    def _backward(self, cache, g):
         act, act_prime = ACTIVATIONS[self.activation]
-        g, _ = _rows(grad_out)
         z, xs = cache["z"], cache["x"]
         mg = act_prime(z) * (g @ self.weight_out)
         grads = {
@@ -265,14 +278,14 @@ class MLPLayer:
             "weight_in": mg.T @ xs,
             "bias": mg.sum(axis=0),
         }
-        return _unrows(mg @ self.weight_in, cache["single"]), grads
+        return mg @ self.weight_in, grads
 
     def lipschitz_bound(self):
         return (linalg.spectral_norm_oracle(self.weight_out)
                 * linalg.spectral_norm_oracle(self.weight_in))
 
 
-class HamiltonianBlock:
+class HamiltonianBlock(Block):
     """One explicit symplectic Euler step of a separable parametrised
     Hamiltonian on states (q, p):
 
@@ -285,6 +298,8 @@ class HamiltonianBlock:
     """
 
     kind = "hamiltonian"
+    param_names = ("kin_weight", "kin_bias", "pot_weight", "pot_bias")
+    checkpoint_attrs = (("h", float), ("activation", str))
 
     def __init__(self, kin_weight, kin_bias, pot_weight, pot_bias, h,
                  activation="tanh"):
@@ -320,17 +335,8 @@ class HamiltonianBlock:
 
     dim_out = dim_in
 
-    def params(self):
-        return {"kin_weight": self.kin_weight, "kin_bias": self.kin_bias,
-                "pot_weight": self.pot_weight, "pot_bias": self.pot_bias}
-
-    def forward(self, x):
-        y, _ = self.forward_with_cache(x)
-        return y
-
-    def forward_with_cache(self, x):
+    def _forward(self, xs):
         act, _ = ACTIVATIONS[self.activation]
-        xs, single = _rows(x)
         if xs.shape[1] % 2 != 0:
             raise InvalidInputError(
                 f"hamiltonian block needs an even input dimension, got {xs.shape[1]}")
@@ -343,12 +349,10 @@ class HamiltonianBlock:
         z2 = q_hat @ self.pot_weight.T + self.pot_bias
         p_new = p - self.h * act(z2) @ self.pot_weight
         y = np.concatenate([q_hat, p_new], axis=1)
-        return _unrows(y, single), {"p": p, "q_hat": q_hat, "z1": z1, "z2": z2,
-                                    "single": single}
+        return y, {"p": p, "q_hat": q_hat, "z1": z1, "z2": z2}
 
-    def backward(self, cache, grad_out):
+    def _backward(self, cache, g):
         act, act_prime = ACTIVATIONS[self.activation]
-        g, _ = _rows(grad_out)
         d = self.kin_weight.shape[1]
         v, u = g[:, :d], g[:, d:]  # upstream on (q_hat, p_new)
         p, q_hat, z1, z2 = cache["p"], cache["q_hat"], cache["z1"], cache["z2"]
@@ -365,7 +369,7 @@ class HamiltonianBlock:
         }
         gq = w
         gp = u + self.h * bw @ self.kin_weight
-        return _unrows(np.concatenate([gq, gp], axis=1), cache["single"]), grads
+        return np.concatenate([gq, gp], axis=1), grads
 
     def lipschitz_bound(self):
         bn = linalg.spectral_norm_oracle(self.kin_weight)
@@ -373,10 +377,11 @@ class HamiltonianBlock:
         return (1.0 + self.h * bn * bn) * (1.0 + self.h * cn * cn)
 
 
-class LinearLayer:
+class LinearLayer(Block):
     """Affine map W x + b."""
 
     kind = "linear"
+    param_names = ("weight", "bias")
 
     def __init__(self, weight, bias):
         self.weight = np.array(weight, dtype=float)
@@ -396,33 +401,22 @@ class LinearLayer:
     def dim_out(self):
         return self.weight.shape[0]
 
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
+    def _forward(self, xs):
+        return xs @ self.weight.T + self.bias, {"x": xs}
 
-    def forward(self, x):
-        xs, single = _rows(x)
-        return _unrows(xs @ self.weight.T + self.bias, single)
+    def _backward(self, cache, g):
+        return g @ self.weight, {"weight": g.T @ cache["x"], "bias": g.sum(axis=0)}
 
-    def forward_with_cache(self, x):
-        xs, single = _rows(x)
-        return _unrows(xs @ self.weight.T + self.bias, single), {"x": xs, "single": single}
-
-    def backward(self, cache, grad_out):
-        g, _ = _rows(grad_out)
-        grads = {"weight": g.T @ cache["x"], "bias": g.sum(axis=0)}
-        return _unrows(g @ self.weight, cache["single"]), grads
-
-    def lipschitz_bound(self, power_iterations=500):
-        est = linalg.power_method(self.weight,
-                                  linalg.counter_seeded_unit(self.weight.shape[1], 0),
-                                  power_iterations)
-        return est.norm
+    def lipschitz_bound(self):
+        # LAPACK's sigma_max; a power method converges to it from below
+        return float(np.linalg.norm(self.weight, 2))
 
 
-class LiftLayer:
+class LiftLayer(Block):
     """Appends zeros to reach a higher dimension; exactly norm-preserving."""
 
     kind = "lift"
+    checkpoint_attrs = (("dim_in", int), ("dim_out", int))
 
     def __init__(self, dim_in, dim_out):
         if dim_out < dim_in:
@@ -430,31 +424,23 @@ class LiftLayer:
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
 
-    def params(self):
-        return {}
-
-    def forward(self, x):
-        xs, single = _rows(x)
+    def _forward(self, xs):
         out = np.zeros((xs.shape[0], self.dim_out))
         out[:, :self.dim_in] = xs
-        return _unrows(out, single)
+        return out, None
 
-    def forward_with_cache(self, x):
-        xs, single = _rows(x)
-        return self.forward(x), {"single": single}
-
-    def backward(self, cache, grad_out):
-        g, _ = _rows(grad_out)
-        return _unrows(g[:, :self.dim_in].copy(), cache["single"]), {}
+    def _backward(self, cache, g):
+        return g[:, :self.dim_in].copy(), {}
 
     def lipschitz_bound(self):
         return 1.0
 
 
-class ProjectLayer:
+class ProjectLayer(Block):
     """Keeps the leading coordinates; non-expansive by construction."""
 
     kind = "project"
+    checkpoint_attrs = (("dim_in", int), ("dim_out", int))
 
     def __init__(self, dim_in, dim_out):
         if dim_out > dim_in:
@@ -462,43 +448,34 @@ class ProjectLayer:
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
 
-    def params(self):
-        return {}
+    def _forward(self, xs):
+        return xs[:, :self.dim_out].copy(), None
 
-    def forward(self, x):
-        xs, single = _rows(x)
-        return _unrows(xs[:, :self.dim_out].copy(), single)
-
-    def forward_with_cache(self, x):
-        xs, single = _rows(x)
-        return self.forward(x), {"single": single}
-
-    def backward(self, cache, grad_out):
-        g, _ = _rows(grad_out)
+    def _backward(self, cache, g):
         out = np.zeros((g.shape[0], self.dim_in))
         out[:, :self.dim_out] = g
-        return _unrows(out, cache["single"]), {}
+        return out, {}
 
     def lipschitz_bound(self):
         return 1.0
 
 
-class ClampedScale:
+class ClampedScale(Block):
     """Learnable scalar multiplier whose effective value is clamped to
     [-bound, bound], capping the Lipschitz constant of the whole network."""
 
     kind = "scale"
+    param_names = ("value",)
+    checkpoint_attrs = (("dim", int), ("bound", float))
 
     def __init__(self, dim, value=1.0, bound=1.0):
         if bound <= 0:
             raise InvalidInputError(f"bound must be positive, got {bound}")
-        self.dim_in = int(dim)
-        self.dim_out = int(dim)
-        self.value = np.array([float(value)])
+        self.dim = self.dim_in = self.dim_out = int(dim)
+        self.value = np.array(value, dtype=float).reshape(-1)
+        if self.value.shape != (1,):
+            raise InvalidInputError(f"value must be one number, got shape {np.shape(value)}")
         self.bound = float(bound)
-
-    def params(self):
-        return {"value": self.value}
 
     def effective_scale(self):
         return float(np.clip(self.value[0], -self.bound, self.bound))
@@ -507,21 +484,15 @@ class ClampedScale:
         """Clamp the stored parameter in place (applied after optimiser steps)."""
         self.value[0] = self.effective_scale()
 
-    def forward(self, x):
-        xs, single = _rows(x)
-        return _unrows(self.effective_scale() * xs, single)
+    def _forward(self, xs):
+        return self.effective_scale() * xs, {"x": xs}
 
-    def forward_with_cache(self, x):
-        xs, single = _rows(x)
-        return self.forward(x), {"x": xs, "single": single}
-
-    def backward(self, cache, grad_out):
-        g, _ = _rows(grad_out)
+    def _backward(self, cache, g):
         if abs(self.value[0]) <= self.bound:
             gv = float(np.sum(g * cache["x"]))
         else:
             gv = 0.0
-        return _unrows(self.effective_scale() * g, cache["single"]), {"value": np.array([gv])}
+        return self.effective_scale() * g, {"value": np.array([gv])}
 
     def lipschitz_bound(self):
         return abs(self.effective_scale())
@@ -531,7 +502,6 @@ class ClampedScale:
 class NetworkCache:
     version: int
     block_caches: list
-    single: bool
 
 
 class Network:
@@ -592,12 +562,11 @@ class Network:
 
     def forward_with_cache(self, x, start=0, stop=None):
         stop = len(self.blocks) if stop is None else stop
-        _, single = _rows(x)
         caches = []
         for block in self.blocks[start:stop]:
             x, cache = block.forward_with_cache(x)
             caches.append((block, cache))
-        return x, NetworkCache(version=self._version, block_caches=caches, single=single)
+        return x, NetworkCache(version=self._version, block_caches=caches)
 
     def backward(self, cache, grad_out):
         """Gradients of a scalar loss wrt the input and every parameter.
@@ -656,8 +625,15 @@ def jacobian_norm_probe(net, x, from_layer, to_layer, iterations=50,
 # --- checkpoints -----------------------------------------------------------
 #
 # A checkpoint directory holds manifest.txt plus one text file per parameter
-# in the linalg matrix format.  The manifest lists one block per line:
-#     <index> <kind> key=value ...
+# in the linalg matrix format.  The manifest is a "stableflow-network <count>"
+# header, an optional "lipschitz_budget <value>" line, then one line per block:
+#     <index> <kind> <attr>=<value> ... shape_<param>=<dims> ...
+# with the kind's checkpoint_attrs, then its params() as block<index>_<param>.txt.
+
+BLOCK_KINDS = {cls.kind: cls for cls in (
+    NonExpansiveBlock, ResidualBlock, MLPLayer, HamiltonianBlock,
+    LinearLayer, LiftLayer, ProjectLayer, ClampedScale)}
+
 
 def save_network(net, directory):
     os.makedirs(directory, exist_ok=True)
@@ -665,95 +641,63 @@ def save_network(net, directory):
     if net.lipschitz_budget is not None:
         lines.append(f"lipschitz_budget {linalg.format_entry(net.lipschitz_budget)}")
     for i, block in enumerate(net.blocks):
-        attrs = [f"{i}", block.kind]
-        if block.kind == "nonexpansive":
-            attrs += [f"total_time={linalg.format_entry(block.total_time)}",
-                      f"norm_inflation={linalg.format_entry(block.norm_inflation)}",
-                      f"n_steps={block.n_steps}"]
-        elif block.kind == "residual":
-            attrs += [f"h={linalg.format_entry(block.h)}"]
-        elif block.kind == "hamiltonian":
-            attrs += [f"h={linalg.format_entry(block.h)}",
-                      f"activation={block.activation}"]
-        elif block.kind == "mlp":
-            attrs += [f"activation={block.activation}"]
-        elif block.kind in ("lift", "project"):
-            attrs += [f"dim_in={block.dim_in}", f"dim_out={block.dim_out}"]
-        elif block.kind == "scale":
-            attrs += [f"dim={block.dim_in}", f"bound={linalg.format_entry(block.bound)}"]
+        words = [f"{i}", block.kind]
+        for name, parse in block.checkpoint_attrs:
+            value = getattr(block, name)
+            words.append(f"{name}={linalg.format_entry(value) if parse is float else value}")
         for name, arr in block.params().items():
-            attrs.append(f"shape_{name}={'x'.join(str(s) for s in arr.shape)}")
-        lines.append(" ".join(attrs))
-        for name, arr in block.params().items():
-            path = os.path.join(directory, f"block{i}_{name}.txt")
-            if arr.ndim == 1:
-                linalg.save_vector(path, arr)
-            else:
-                linalg.save_matrix(path, arr)
+            words.append(f"shape_{name}={'x'.join(str(s) for s in arr.shape)}")
+            save = linalg.save_vector if arr.ndim == 1 else linalg.save_matrix
+            save(os.path.join(directory, f"block{i}_{name}.txt"), arr)
+        lines.append(" ".join(words))
     with open(os.path.join(directory, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _block_param(directory, index, name, vector=False):
-    path = os.path.join(directory, f"block{index}_{name}.txt")
-    return linalg.load_vector(path) if vector else linalg.load_matrix(path)
-
-
 def load_network(directory):
-    with open(os.path.join(directory, "manifest.txt")) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "stableflow-network":
-        raise InvalidInputError(f"{directory}: not a network checkpoint")
-    budget = None
-    body = lines[1:]
-    if body and body[0].startswith("lipschitz_budget"):
-        budget = float(body[0].split()[1])
-        body = body[1:]
-    blocks = []
-    for line in body:
-        parts = line.split()
-        index, kind = int(parts[0]), parts[1]
-        attrs = dict(p.split("=", 1) for p in parts[2:])
-        if kind == "nonexpansive":
-            block = NonExpansiveBlock(
-                _block_param(directory, index, "weight"),
-                _block_param(directory, index, "bias", vector=True),
-                total_time=float(attrs["total_time"]),
-                norm_inflation=float(attrs["norm_inflation"]),
-                spectral_iterations=500)
-            block.n_steps = int(attrs["n_steps"])
-        elif kind == "residual":
-            block = ResidualBlock(
-                _block_param(directory, index, "weight_in"),
-                _block_param(directory, index, "weight_out"),
-                _block_param(directory, index, "bias", vector=True),
-                h=float(attrs["h"]))
-        elif kind == "hamiltonian":
-            block = HamiltonianBlock(
-                _block_param(directory, index, "kin_weight"),
-                _block_param(directory, index, "kin_bias", vector=True),
-                _block_param(directory, index, "pot_weight"),
-                _block_param(directory, index, "pot_bias", vector=True),
-                h=float(attrs["h"]), activation=attrs["activation"])
-        elif kind == "mlp":
-            block = MLPLayer(
-                _block_param(directory, index, "weight_in"),
-                _block_param(directory, index, "weight_out"),
-                _block_param(directory, index, "bias", vector=True),
-                activation=attrs["activation"])
-        elif kind == "linear":
-            block = LinearLayer(
-                _block_param(directory, index, "weight"),
-                _block_param(directory, index, "bias", vector=True))
-        elif kind == "lift":
-            block = LiftLayer(int(attrs["dim_in"]), int(attrs["dim_out"]))
-        elif kind == "project":
-            block = ProjectLayer(int(attrs["dim_in"]), int(attrs["dim_out"]))
-        elif kind == "scale":
-            block = ClampedScale(int(attrs["dim"]), bound=float(attrs["bound"]))
-            block.value[:] = _block_param(directory, index, "value", vector=True)
-        else:
-            raise InvalidInputError(f"unknown block kind {kind!r} in checkpoint")
-        blocks.append(block)
-    return Network(blocks, lipschitz_budget=budget)
+    """Rebuild a saved network through the block constructors, whose checks
+    screen the checkpoint; a malformed manifest raises InvalidInputError."""
+    path = os.path.join(directory, "manifest.txt")
+    with open(path) as fh:
+        lines = [ln.split() for ln in fh if ln.strip()]
+    try:
+        if not lines or len(lines[0]) != 2 or lines[0][0] != "stableflow-network":
+            raise InvalidInputError("not a network checkpoint")
+        body = lines[1:]
+        budget = None
+        if body and body[0][0] == "lipschitz_budget":
+            _, value = body.pop(0)
+            budget = float(value)
+        if int(lines[0][1]) != len(body):
+            raise InvalidInputError(
+                f"the header counts {lines[0][1]} blocks, the manifest lists {len(body)}")
+        blocks = [_load_block(directory, i, words) for i, words in enumerate(body)]
+        return Network(blocks, lipschitz_budget=budget)
+    # a constructor given a vector for a matrix raises IndexError
+    except (IndexError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+
+
+def _load_block(directory, index, words):
+    if len(words) < 2 or words[0] != str(index) or words[1] not in BLOCK_KINDS:
+        raise InvalidInputError(f"block line {' '.join(words)!r} should read '{index} "
+                                f"<kind> ...' with a kind in {sorted(BLOCK_KINDS)}")
+    cls = BLOCK_KINDS[words[1]]
+    attrs = dict(word.split("=", 1) for word in words[2:])
+    missing = [name for name, _ in cls.checkpoint_attrs if name not in attrs]
+    if missing:
+        raise InvalidInputError(f"block {index} ({cls.kind}) lacks {', '.join(missing)}")
+    kwargs = {name: parse(attrs[name]) for name, parse in cls.checkpoint_attrs}
+    n_steps = kwargs.pop("n_steps", None)  # block state, not a constructor argument
+    names = [key[len("shape_"):] for key in attrs if key.startswith("shape_")]
+    if names != list(cls.param_names):
+        raise InvalidInputError(f"block {index} ({cls.kind}) stores parameters "
+                                f"{names}, not {list(cls.param_names)}")
+    params = {}
+    for name in names:
+        load = linalg.load_matrix if "x" in attrs[f"shape_{name}"] else linalg.load_vector
+        params[name] = load(os.path.join(directory, f"block{index}_{name}.txt"))
+    block = cls(**params, **kwargs)
+    if n_steps is not None:
+        block.n_steps = n_steps
+    return block

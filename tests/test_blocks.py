@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ class TestNonExpansiveBlock:
         block.spectral = linalg.SpectralEstimate(block.spectral.vector, 2.0)
         # ceil(1 * (1.01 * 2)^2 / 2) = ceil(2.0402) = 3
         assert block.update_step_count() == 3
+
+    def test_lipschitz_bound_beyond_step_constraint(self):
+        # h * w^2 = 9: on x > 0 the step is x - 9x = -8x, so the bound is 8
+        # per sub-step; within h * w^2 <= 2 it is exactly 1
+        block = NonExpansiveBlock(np.array([[3.0]]), np.array([0.0]))
+        block.n_steps = 1
+        assert block.lipschitz_bound() == 8.0
+        gap = block.forward(np.array([2.0])) - block.forward(np.array([1.0]))
+        assert abs(gap[0]) == 8.0
+        block.n_steps = 2
+        assert block.lipschitz_bound() == 3.5 ** 2
+        block.n_steps = 5
+        assert block.lipschitz_bound() == 1.0
 
     def test_zero_weight_keeps_single_step(self):
         block = NonExpansiveBlock(np.zeros((4, 4)), np.zeros(4))
@@ -201,9 +216,11 @@ class TestNetwork:
         assert np.all(gap_out <= scale_bound * gap_in + 1e-9)
 
     def test_checkpoint_round_trip(self, rng, tmp_path):
+        nonexpansive = NonExpansiveBlock.random(6, 5, rng)
+        nonexpansive.n_steps = 7
         net = Network([
             LiftLayer(2, 6),
-            NonExpansiveBlock.random(6, 5, rng),
+            nonexpansive,
             ResidualBlock.random(6, 4, rng, h=0.3),
             HamiltonianBlock.random(3, rng, h=0.4),
             MLPLayer.random(6, 6, 5, rng, activation="relu"),
@@ -211,11 +228,30 @@ class TestNetwork:
             ProjectLayer(4, 3),
             ClampedScale(3, value=0.4, bound=1.2),
         ], lipschitz_budget=1.2)
-        blocks.save_network(net, tmp_path / "ckpt")
-        loaded = blocks.load_network(tmp_path / "ckpt")
+        first, second = tmp_path / "ckpt", tmp_path / "resaved"
+        blocks.save_network(net, first)
+        assert (first / "manifest.txt").read_text() == (
+            "stableflow-network 8\n"
+            "lipschitz_budget 1.2\n"
+            "0 lift dim_in=2 dim_out=6\n"
+            "1 nonexpansive total_time=1.0 norm_inflation=1.01 n_steps=7 "
+            "shape_weight=5x6 shape_bias=5\n"
+            "2 residual h=0.3 shape_weight_in=4x6 shape_weight_out=6x4 shape_bias=4\n"
+            "3 hamiltonian h=0.4 activation=tanh shape_kin_weight=3x3 "
+            "shape_kin_bias=3 shape_pot_weight=3x3 shape_pot_bias=3\n"
+            "4 mlp activation=relu shape_weight_in=5x6 shape_weight_out=6x5 "
+            "shape_bias=5\n"
+            "5 linear shape_weight=4x6 shape_bias=4\n"
+            "6 project dim_in=4 dim_out=3\n"
+            "7 scale dim=3 bound=1.2 shape_value=1\n")
+        loaded = blocks.load_network(first)
         assert loaded.lipschitz_budget == 1.2
         x = rng.standard_normal((7, 2))
         assert np.array_equal(loaded.forward(x), net.forward(x))
+        blocks.save_network(loaded, second)
+        assert sorted(os.listdir(second)) == sorted(os.listdir(first))
+        for name in os.listdir(first):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestJacobianNormProbe:

@@ -1,10 +1,12 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 from stableflow import cli, experiments, inverse
-from stableflow.blocks import save_network
+from stableflow.blocks import (LinearLayer, Network, NonExpansiveBlock,
+                               ResidualBlock, save_network)
 from stableflow.errors import StableflowError
 
 
@@ -121,6 +123,30 @@ class TestVerify:
         assert "block 1 weight" in manifest
         assert "exceeds the budget" in manifest
         assert not (out / "verify_lipschitz.csv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(" h=0.5", ""),
+        lambda text: "",
+        lambda text: re.sub("2 linear.*", "2", text),
+        lambda text: text.replace("residual", "convolution"),
+        lambda text: text.replace("stableflow-network 3", "stableflow-network 4"),
+        lambda text: re.sub("n_steps=[0-9]+", "n_steps=0", text),
+    ], ids=["missing-attr", "empty", "no-kind", "unknown-kind", "block-count",
+            "zero-steps"])
+    def test_malformed_checkpoint_fails(self, tmp_path, rng, edit):
+        net = Network([NonExpansiveBlock.random(4, 5, rng),
+                       ResidualBlock.random(4, 5, rng, h=0.5),
+                       LinearLayer.random(4, 3, rng)])
+        ckpt = tmp_path / "ckpt"
+        save_network(net, ckpt)
+        manifest = ckpt / "manifest.txt"
+        manifest.write_text(edit(manifest.read_text()))
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "--checkpoint", str(ckpt), "--out-dir", str(out)])
+        record = read(out / "manifest.txt")
+        assert "status failed" in record
+        assert f"error {manifest}: " in record
 
 
 class TestOutputCheck:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stableflow import linalg, ode, stability
+from stableflow import inverse, linalg, ode, stability
 from stableflow.blocks import (ClampedScale, LinearLayer, MLPLayer, Network,
                                NonExpansiveBlock)
 from stableflow.errors import DegenerateGradientError, InvalidInputError
@@ -85,6 +85,23 @@ class TestComposedLipschitzBound:
         net = Network([layer])
         svd_norm = np.linalg.norm(layer.weight, 2)
         assert abs(stability.composed_lipschitz_bound(net) - svd_norm) <= 1e-6
+        # sigma_1 = 1, sigma_2 = 0.999: a power method stays below sigma_1
+        q1, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        q2, _ = np.linalg.qr(rng.standard_normal((196, 196)))
+        values = np.concatenate([[1.0, 0.999], np.sort(rng.uniform(0.1, 0.9, 8))[::-1]])
+        near = LinearLayer((q1 * values) @ q2[:10], np.zeros(10))
+        assert near.lipschitz_bound() >= np.linalg.norm(near.weight, 2)
+
+    def test_bound_covers_blocks_that_break_the_step_constraint(self, rng):
+        net = inverse.build_invnet(2.0, seed=0)
+        for block in net.nonexpansive_blocks():
+            block.weight *= 3.0
+        bound = stability.composed_lipschitz_bound(net)
+        xs = rng.uniform(-10, 10, (10000, 2))
+        ys = rng.uniform(-10, 10, (10000, 2))
+        ratio = (np.linalg.norm(net.forward(xs) - net.forward(ys), axis=1)
+                 / np.linalg.norm(xs - ys, axis=1))
+        assert 1.0 < np.max(ratio) <= bound
 
     def test_empirical_ratio_never_exceeds_bound(self, rng):
         net = Network([NonExpansiveBlock.random(4, 5, rng),
