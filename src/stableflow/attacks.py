@@ -37,7 +37,7 @@ class AttackConfig:
 def _input_gradients(net, xs, labels, margin_offset):
     logits, cache = net.forward_with_cache(xs)
     _, gout = batch_margin_cross_entropy(logits, labels, margin_offset)
-    gin, _ = net.backward(cache, gout)
+    gin, _ = net.backward(cache, gout, params=False)
     return np.atleast_2d(gin)
 
 

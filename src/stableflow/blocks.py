@@ -59,11 +59,17 @@ def _rows(x):
 
 
 class Block:
-    """Base of the layer kinds.  A kind writes ``_forward(rows)`` and
-    ``_backward(cache, grad_rows)`` on 2-d stacks of rows; a single vector
-    passes through them as one row.  ``param_names`` names the parameter
-    attributes; ``checkpoint_attrs`` holds the (attribute, parser) pairs a
-    checkpoint's manifest line stores besides them, in manifest order.
+    """Base of the layer kinds.  A kind writes ``_forward(rows, keep_cache)``
+    and ``_backward(cache, grad_rows, params)`` on 2-d stacks of rows; a
+    single vector passes through them as one row.  ``param_names`` names the
+    parameter attributes; ``checkpoint_attrs`` holds the (attribute, parser)
+    pairs a checkpoint's manifest line stores besides them, in manifest order.
+
+    A plain ``forward`` asks for no cache, so a kind whose cache grows with
+    its depth (the non-expansive sub-steps) need not keep it.  ``backward``
+    with ``params=False`` pulls the gradient back to the input only: each
+    kind skips its parameter-gradient products, and the base returns
+    ``None`` in place of the parameter gradients.
     """
 
     kind = None
@@ -75,17 +81,17 @@ class Block:
         return {name: getattr(self, name) for name in self.param_names}
 
     def forward(self, x):
-        return self.forward_with_cache(x)[0]
+        return self.forward_with_cache(x, keep_cache=False)[0]
 
-    def forward_with_cache(self, x):
+    def forward_with_cache(self, x, keep_cache=True):
         xs, single = _rows(x)
-        y, cache = self._forward(xs)
-        return (y[0] if single else y), cache
+        y, cache = self._forward(xs, keep_cache)
+        return (y[0] if single else y), (cache if keep_cache else None)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, params=True):
         g, single = _rows(grad_out)
-        gx, grads = self._backward(cache, g)
-        return (gx[0] if single else gx), grads
+        gx, grads = self._backward(cache, g, params)
+        return (gx[0] if single else gx), (grads if params else None)
 
 
 def _step_count(text):
@@ -150,27 +156,29 @@ class NonExpansiveBlock(Block):
         self.n_steps = max(1, int(np.ceil(self.total_time * norm * norm / 2.0)))
         return self.n_steps
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         if self.n_steps < 1:
             raise InvalidStateError("block has no integration sub-steps")
         h = self.total_time / self.n_steps
         steps = []
         for _ in range(self.n_steps):
             z = xs @ self.weight.T + self.bias
-            steps.append((xs, z))
+            if keep_cache:
+                steps.append((xs, z))
             xs = xs - h * relu(z) @ self.weight
         return xs, {"steps": steps, "h": h}
 
-    def _backward(self, cache, g):
+    def _backward(self, cache, g, params):
         h = cache["h"]
-        gw = np.zeros_like(self.weight)
-        gb = np.zeros_like(self.bias)
+        gw = np.zeros_like(self.weight) if params else None
+        gb = np.zeros_like(self.bias) if params else None
         for x_in, z in reversed(cache["steps"]):
             mask = z > 0
-            r = np.where(mask, z, 0.0)
             mg = np.where(mask, g @ self.weight.T, 0.0)
-            gw -= h * (r.T @ g + mg.T @ x_in)
-            gb -= h * mg.sum(axis=0)
+            if params:
+                r = np.where(mask, z, 0.0)
+                gw -= h * (r.T @ g + mg.T @ x_in)
+                gb -= h * mg.sum(axis=0)
             g = g - h * mg @ self.weight
         return g, {"weight": gw, "bias": gb}
 
@@ -193,8 +201,9 @@ class ResidualBlock(Block):
         self.weight_in = np.array(weight_in, dtype=float)    # (H, d)
         self.weight_out = np.array(weight_out, dtype=float)  # (d, H)
         self.bias = np.array(bias, dtype=float)
-        d, hdim = self.weight_in.shape[1], self.weight_in.shape[0]
-        if self.weight_out.shape != (d, hdim) or self.bias.shape != (hdim,):
+        shape_in = self.weight_in.shape
+        if (len(shape_in) != 2 or self.weight_out.shape != shape_in[::-1]
+                or self.bias.shape != shape_in[:1]):
             raise InvalidInputError("residual block shapes must be (H,d), (d,H), (H,)")
         if h <= 0:
             raise InvalidInputError(f"h must be positive, got {h}")
@@ -211,21 +220,22 @@ class ResidualBlock(Block):
 
     dim_out = dim_in
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         z = xs @ self.weight_in.T + self.bias
         y = xs + self.h * relu(z) @ self.weight_out.T
         return y, {"x": xs, "z": z}
 
-    def _backward(self, cache, g):
+    def _backward(self, cache, g, params):
         z, xs = cache["z"], cache["x"]
         mask = z > 0
-        r = np.where(mask, z, 0.0)
         mg = np.where(mask, g @ self.weight_out, 0.0)
-        grads = {
-            "weight_out": self.h * (g.T @ r),
-            "weight_in": self.h * (mg.T @ xs),
-            "bias": self.h * mg.sum(axis=0),
-        }
+        grads = None
+        if params:
+            grads = {
+                "weight_out": self.h * (g.T @ np.where(mask, z, 0.0)),
+                "weight_in": self.h * (mg.T @ xs),
+                "bias": self.h * mg.sum(axis=0),
+            }
         return g + self.h * mg @ self.weight_in, grads
 
     def lipschitz_bound(self):
@@ -244,8 +254,9 @@ class MLPLayer(Block):
         self.weight_in = np.array(weight_in, dtype=float)    # (H, d_in)
         self.weight_out = np.array(weight_out, dtype=float)  # (d_out, H)
         self.bias = np.array(bias, dtype=float)
-        hdim = self.weight_in.shape[0]
-        if self.weight_out.shape[1] != hdim or self.bias.shape != (hdim,):
+        if (self.weight_in.ndim != 2 or self.weight_out.ndim != 2
+                or self.weight_out.shape[1] != self.weight_in.shape[0]
+                or self.bias.shape != self.weight_in.shape[:1]):
             raise InvalidInputError("mlp layer shapes must be (H,d_in), (d_out,H), (H,)")
         if activation not in ACTIVATIONS:
             raise InvalidInputError(f"unknown activation {activation!r}")
@@ -264,20 +275,22 @@ class MLPLayer(Block):
     def dim_out(self):
         return self.weight_out.shape[0]
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         act, _ = ACTIVATIONS[self.activation]
         z = xs @ self.weight_in.T + self.bias
         return act(z) @ self.weight_out.T, {"x": xs, "z": z}
 
-    def _backward(self, cache, g):
+    def _backward(self, cache, g, params):
         act, act_prime = ACTIVATIONS[self.activation]
         z, xs = cache["z"], cache["x"]
         mg = act_prime(z) * (g @ self.weight_out)
-        grads = {
-            "weight_out": g.T @ act(z),
-            "weight_in": mg.T @ xs,
-            "bias": mg.sum(axis=0),
-        }
+        grads = None
+        if params:
+            grads = {
+                "weight_out": g.T @ act(z),
+                "weight_in": mg.T @ xs,
+                "bias": mg.sum(axis=0),
+            }
         return mg @ self.weight_in, grads
 
     def lipschitz_bound(self):
@@ -307,6 +320,9 @@ class HamiltonianBlock(Block):
         self.kin_bias = np.array(kin_bias, dtype=float)
         self.pot_weight = np.array(pot_weight, dtype=float)  # (d, d), acts on q_hat
         self.pot_bias = np.array(pot_bias, dtype=float)
+        if self.kin_weight.ndim != 2:
+            raise InvalidInputError(
+                f"kin_weight must be a (d, d) matrix, got shape {self.kin_weight.shape}")
         d = self.kin_weight.shape[1]
         for name, arr, shape in (("kin_weight", self.kin_weight, (d, d)),
                                  ("pot_weight", self.pot_weight, (d, d)),
@@ -335,7 +351,7 @@ class HamiltonianBlock(Block):
 
     dim_out = dim_in
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         act, _ = ACTIVATIONS[self.activation]
         if xs.shape[1] % 2 != 0:
             raise InvalidInputError(
@@ -351,7 +367,7 @@ class HamiltonianBlock(Block):
         y = np.concatenate([q_hat, p_new], axis=1)
         return y, {"p": p, "q_hat": q_hat, "z1": z1, "z2": z2}
 
-    def _backward(self, cache, g):
+    def _backward(self, cache, g, params):
         act, act_prime = ACTIVATIONS[self.activation]
         d = self.kin_weight.shape[1]
         v, u = g[:, :d], g[:, d:]  # upstream on (q_hat, p_new)
@@ -361,12 +377,14 @@ class HamiltonianBlock(Block):
         cu = d2 * (u @ self.pot_weight.T)
         w = v - self.h * cu @ self.pot_weight
         bw = d1 * (w @ self.kin_weight.T)
-        grads = {
-            "pot_weight": -self.h * (act(z2).T @ u + cu.T @ q_hat),
-            "pot_bias": -self.h * cu.sum(axis=0),
-            "kin_weight": self.h * (act(z1).T @ w + bw.T @ p),
-            "kin_bias": self.h * bw.sum(axis=0),
-        }
+        grads = None
+        if params:
+            grads = {
+                "pot_weight": -self.h * (act(z2).T @ u + cu.T @ q_hat),
+                "pot_bias": -self.h * cu.sum(axis=0),
+                "kin_weight": self.h * (act(z1).T @ w + bw.T @ p),
+                "kin_bias": self.h * bw.sum(axis=0),
+            }
         gq = w
         gp = u + self.h * bw @ self.kin_weight
         return np.concatenate([gq, gp], axis=1), grads
@@ -401,11 +419,12 @@ class LinearLayer(Block):
     def dim_out(self):
         return self.weight.shape[0]
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         return xs @ self.weight.T + self.bias, {"x": xs}
 
-    def _backward(self, cache, g):
-        return g @ self.weight, {"weight": g.T @ cache["x"], "bias": g.sum(axis=0)}
+    def _backward(self, cache, g, params):
+        grads = {"weight": g.T @ cache["x"], "bias": g.sum(axis=0)} if params else None
+        return g @ self.weight, grads
 
     def lipschitz_bound(self):
         # LAPACK's sigma_max; a power method converges to it from below
@@ -424,12 +443,12 @@ class LiftLayer(Block):
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         out = np.zeros((xs.shape[0], self.dim_out))
         out[:, :self.dim_in] = xs
         return out, None
 
-    def _backward(self, cache, g):
+    def _backward(self, cache, g, params):
         return g[:, :self.dim_in].copy(), {}
 
     def lipschitz_bound(self):
@@ -448,10 +467,10 @@ class ProjectLayer(Block):
         self.dim_in = int(dim_in)
         self.dim_out = int(dim_out)
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         return xs[:, :self.dim_out].copy(), None
 
-    def _backward(self, cache, g):
+    def _backward(self, cache, g, params):
         out = np.zeros((g.shape[0], self.dim_in))
         out[:, :self.dim_out] = g
         return out, {}
@@ -484,15 +503,15 @@ class ClampedScale(Block):
         """Clamp the stored parameter in place (applied after optimiser steps)."""
         self.value[0] = self.effective_scale()
 
-    def _forward(self, xs):
+    def _forward(self, xs, keep_cache):
         return self.effective_scale() * xs, {"x": xs}
 
-    def _backward(self, cache, g):
-        if abs(self.value[0]) <= self.bound:
-            gv = float(np.sum(g * cache["x"]))
-        else:
-            gv = 0.0
-        return self.effective_scale() * g, {"value": np.array([gv])}
+    def _backward(self, cache, g, params):
+        grads = None
+        if params:
+            inside = abs(self.value[0]) <= self.bound
+            grads = {"value": np.array([float(np.sum(g * cache["x"])) if inside else 0.0])}
+        return self.effective_scale() * g, grads
 
     def lipschitz_bound(self):
         return abs(self.effective_scale())
@@ -568,11 +587,13 @@ class Network:
             caches.append((block, cache))
         return x, NetworkCache(version=self._version, block_caches=caches)
 
-    def backward(self, cache, grad_out):
+    def backward(self, cache, grad_out, params=True):
         """Gradients of a scalar loss wrt the input and every parameter.
 
         Returns (input_gradient, grads) with grads[i] the dict for block i of
-        the cached range (empty dict for parameter-free blocks).
+        the cached range (empty dict for parameter-free blocks).  With
+        ``params=False`` no block computes parameter gradients and grads is
+        None.
         """
         if cache.version != self._version:
             raise InvalidStateError(
@@ -581,8 +602,8 @@ class Network:
         g = grad_out
         for i in range(len(cache.block_caches) - 1, -1, -1):
             block, block_cache = cache.block_caches[i]
-            g, grads[i] = block.backward(block_cache, g)
-        return g, grads
+            g, grads[i] = block.backward(block_cache, g, params)
+        return g, (grads if params else None)
 
 
 def jacobian_norm_probe(net, x, from_layer, to_layer, iterations=50,
@@ -609,7 +630,7 @@ def jacobian_norm_probe(net, x, from_layer, to_layer, iterations=50,
         return (net.forward(x_from + delta * v, from_layer, to_layer) - f0) / delta
 
     def jtu(u):
-        g, _ = net.backward(cache, u)
+        g, _ = net.backward(cache, u, params=False)
         return g
 
     v = linalg.counter_seeded_unit(x_from.shape[0], 0)
@@ -673,8 +694,8 @@ def load_network(directory):
                 f"the header counts {lines[0][1]} blocks, the manifest lists {len(body)}")
         blocks = [_load_block(directory, i, words) for i, words in enumerate(body)]
         return Network(blocks, lipschitz_budget=budget)
-    # a constructor given a vector for a matrix raises IndexError
-    except (IndexError, ValueError) as exc:
+    # a number or attribute word that does not parse raises ValueError
+    except ValueError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 

@@ -462,12 +462,6 @@ def lyapunov_study(seed, equilibrium=(0.4, -0.3), mu=2.0, hidden=32,
                           np.linspace(0, 2 * np.pi, potential_units, endpoint=False)]),
         center=x_bar)
 
-    def base_field(x):
-        return mlp.forward(x) - mlp.forward(x_bar)
-
-    system = stability.LyapunovSystem(base_field=base_field, potential=potential,
-                                      mu=mu)
-
     samples = x_bar + rng.standard_normal((n_samples, 2))
     targets = true_field(samples)
     params = [arr for _, _, arr in mlp.parameters()] + [potential.weights]
@@ -487,6 +481,13 @@ def lyapunov_study(seed, equilibrium=(0.4, -0.3), mu=2.0, hidden=32,
         training.adam_step(state, params, mlp_grads + [w_grad / n], lr)
         mlp.mark_params_updated()
 
+    offset = mlp.forward(x_bar)  # the fitted network is fixed from here on
+
+    def base_field(x):
+        return mlp.forward(x) - offset
+
+    system = stability.LyapunovSystem(base_field=base_field, potential=potential,
+                                      mu=mu)
     result = LyapunovResult(seed=seed, system=system, fit_losses=losses,
                             equilibrium=x_bar)
     fitted = stability.lyapunov_field(system)

@@ -54,18 +54,21 @@ def max_rel_err(approx, exact):
 
 def block_gradient_check(block, x, weights, step=1e-5):
     """Compare a block's analytic input/parameter gradients of the linear
-    functional sum(weights * forward(x)) against central differences.
+    functional sum(weights * forward(x)) against central differences, the
+    input gradient from both the full and the input-only backward.
     Returns the worst relative error."""
     x = np.asarray(x, dtype=float)
     y, cache = block.forward_with_cache(x)
     upstream = np.broadcast_to(weights, np.shape(y)).copy()
     grad_in, grads = block.backward(cache, upstream)
+    grad_in_only, no_grads = block.backward(cache, upstream, params=False)
+    assert no_grads is None
 
     def loss_of_input(flat):
         return float(np.sum(block.forward(flat.reshape(x.shape)) * weights))
 
     fd_in = fd_input_gradient(loss_of_input, x.ravel(), step).reshape(x.shape)
-    worst = max_rel_err(fd_in, grad_in)
+    worst = max(max_rel_err(fd_in, grad_in), max_rel_err(fd_in, grad_in_only))
 
     def loss_now():
         return float(np.sum(block.forward(x) * weights))

@@ -3,9 +3,9 @@ import pytest
 
 from stableflow import attacks
 from stableflow.attacks import AttackConfig, pgd_l2, pgd_l2_batch, robust_accuracy
-from stableflow.blocks import LinearLayer, Network
+from stableflow.blocks import LinearLayer, Network, NonExpansiveBlock
 from stableflow.errors import InvalidInputError
-from stableflow.training import margin_cross_entropy
+from stableflow.training import batch_margin_cross_entropy, margin_cross_entropy
 
 
 def linear_net(rng, dim=6, classes=4):
@@ -60,6 +60,29 @@ class TestPgdL2:
                            AttackConfig(epsilon=1.0, n_iter=4), stats=stats)
         assert np.array_equal(out, xs)
         assert stats["zero_grad_iterations"] == 20
+
+    def test_input_only_gradients_match_full_backward_reference(self, rng):
+        net = Network([NonExpansiveBlock.random(6, 8, rng),
+                       NonExpansiveBlock.random(6, 8, rng),
+                       LinearLayer.random(6, 4, rng)])
+        for block in net.blocks[:2]:
+            block.weight *= 2.0
+            block.n_steps = 3
+        xs = rng.standard_normal((20, 6))
+        labels = rng.integers(0, 4, size=20)
+        cfg = AttackConfig(epsilon=0.8, n_iter=15)
+        # the attack loop written out, pulling back through the full backward
+        delta = np.zeros_like(xs)
+        for _ in range(cfg.n_iter):
+            logits, cache = net.forward_with_cache(xs + delta)
+            _, gout = batch_margin_cross_entropy(logits, labels, 0.0)
+            grad, grads = net.backward(cache, gout)
+            assert len(grads) == 3
+            norms = np.linalg.norm(grad, axis=1, keepdims=True)
+            delta = delta + cfg.step_size / norms * grad
+            dnorm = np.linalg.norm(delta, axis=1, keepdims=True)
+            delta = delta * np.where(dnorm > cfg.epsilon, cfg.epsilon / dnorm, 1.0)
+        assert np.array_equal(pgd_l2_batch(net, xs, labels, cfg), xs + delta)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,26 @@ def scalar_block(total_time=1.0, n_steps=1):
     block = NonExpansiveBlock(np.array([[1.0]]), np.array([0.0]),
                               total_time=total_time)
     block.n_steps = n_steps
+    return block
+
+
+# one small instance per entry of blocks.BLOCK_KINDS, all taking 4-vectors
+KIND_MAKERS = {
+    "nonexpansive": lambda rng: NonExpansiveBlock.random(4, 5, rng),
+    "residual": lambda rng: ResidualBlock.random(4, 5, rng, h=0.6),
+    "mlp": lambda rng: MLPLayer.random(4, 3, 5, rng, activation="tanh"),
+    "hamiltonian": lambda rng: HamiltonianBlock.random(2, rng, h=0.8),
+    "linear": lambda rng: LinearLayer.random(4, 3, rng),
+    "lift": lambda rng: LiftLayer(4, 6),
+    "project": lambda rng: ProjectLayer(4, 2),
+    "scale": lambda rng: ClampedScale(4, value=0.7, bound=2.0),
+}
+
+
+def make_block(kind, rng):
+    block = KIND_MAKERS[kind](rng)
+    if isinstance(block, NonExpansiveBlock):
+        block.n_steps = 3
     return block
 
 
@@ -187,7 +208,86 @@ class TestBackward:
             net.backward(cache, np.zeros(3))
 
 
+@pytest.mark.parametrize("kind", sorted(blocks.BLOCK_KINDS))
+@pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["vector", "rows"])
+class TestInferencePaths:
+    def test_plain_forward_matches_cached_forward(self, rng, kind, shape):
+        block = make_block(kind, rng)
+        x = rng.standard_normal(shape)
+        y, _ = block.forward_with_cache(x)
+        assert np.array_equal(block.forward(x), y)
+        y_plain, no_cache = block.forward_with_cache(x, keep_cache=False)
+        assert np.array_equal(y_plain, y)
+        assert no_cache is None
+
+    def test_input_only_backward_matches_full(self, rng, kind, shape):
+        block = make_block(kind, rng)
+        y, cache = block.forward_with_cache(rng.standard_normal(shape))
+        g = rng.standard_normal(np.shape(y))
+        gin, grads = block.backward(cache, g)
+        gin_only, no_grads = block.backward(cache, g, params=False)
+        assert np.shape(gin_only) == shape
+        assert np.array_equal(gin_only, gin)
+        assert no_grads is None
+        assert sorted(grads) == sorted(block.param_names)
+
+
+class TestPlainForwardMemory:
+    def test_nonexpansive_forward_keeps_no_substeps(self):
+        rng = np.random.default_rng(0)
+        block = NonExpansiveBlock.random(196, 196, rng)
+        block.n_steps = 8
+        xs = rng.standard_normal((4000, 196))
+        before = xs.copy()
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1] / xs.nbytes
+            finally:
+                tracemalloc.stop()
+
+        # the cached forward holds every sub-step's (x, z): the probe sees it
+        assert peak(lambda: block.forward_with_cache(xs)) >= 2 * block.n_steps
+        assert peak(lambda: block.forward(xs)) < 6
+        assert np.array_equal(xs, before)
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("make", [
+        lambda: ResidualBlock(np.ones(4), np.ones((4, 1)), np.ones(1)),
+        lambda: MLPLayer(np.ones((3, 4)), np.ones(3), np.ones(3)),
+        lambda: HamiltonianBlock(np.ones(2), np.ones(2), np.ones((2, 2)), np.ones(2),
+                                 h=1.0),
+    ], ids=["residual", "mlp", "hamiltonian"])
+    def test_vector_for_a_weight_matrix_rejected(self, make):
+        with pytest.raises(InvalidInputError):
+            make()
+
+    def test_checkpoint_with_a_vector_weight_rejected(self, rng, tmp_path):
+        blocks.save_network(Network([ResidualBlock.random(4, 5, rng)]), tmp_path)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("shape_weight_out=4x5",
+                                                         "shape_weight_out=4"))
+        linalg.save_vector(tmp_path / "block0_weight_out.txt", np.ones(4))
+        with pytest.raises(InvalidInputError):
+            blocks.load_network(tmp_path)
+
+
 class TestNetwork:
+    def test_input_only_backward_matches_full(self, rng):
+        net = Network([NonExpansiveBlock.random(4, 5, rng),
+                       HamiltonianBlock.random(2, rng, h=0.5),
+                       MLPLayer.random(4, 3, 5, rng)])
+        y, cache = net.forward_with_cache(rng.standard_normal((6, 4)))
+        g = rng.standard_normal(y.shape)
+        gin, grads = net.backward(cache, g)
+        gin_only, no_grads = net.backward(cache, g, params=False)
+        assert np.array_equal(gin_only, gin)
+        assert no_grads is None
+        assert len(grads) == 3
+
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(InvalidInputError):
             Network([LinearLayer.random(3, 4, rng), LinearLayer.random(3, 2, rng)])
