@@ -31,8 +31,8 @@ certs = [stability.certified_radius(net, x, bound) for x in test_ds.inputs]
 radii = np.array([c.radius for c in certs])
 print(f"certified radii: median {np.median(radii):.4f}, max {radii.max():.4f}")
 
-rows = attacks.robust_accuracy(net, test_ds.inputs, test_ds.labels,
-                               [0.0, 0.2, 0.4, 0.6, 0.8], n_iter=50)
+rows, _ = attacks.robust_accuracy(net, test_ds.inputs, test_ds.labels,
+                                  [0.0, 0.2, 0.4, 0.6, 0.8], n_iter=50)
 print("\n  eps   accuracy")
 for eps, acc, _ in rows:
     certified = float(np.mean(radii > eps))

@@ -70,35 +70,27 @@ def pgd_l2_batch(net, xs, labels, cfg, margin_offset=0.0, stats=None):
     return xs + delta
 
 
-def pgd_l2(net, x, label, cfg, margin_offset=0.0, stats=None):
-    """Attack a single input; the perturbation satisfies ||delta|| <= epsilon."""
-    x = np.asarray(x, dtype=float)
-    out = pgd_l2_batch(net, x[None, :], np.array([label]), cfg,
-                       margin_offset=margin_offset, stats=stats)
-    return out[0]
-
-
 def robust_accuracy(net, inputs, labels, epsilons, n_iter=100, step_size=None,
                     margin_offset=0.0):
     """Fraction of samples still classified correctly after a PGD attack at
     each epsilon.  epsilon = 0 reports clean accuracy exactly (no attack).
 
-    Returns a list of (epsilon, accuracy, n_samples) rows.
+    Returns (rows, attacked): a list of (epsilon, accuracy, n_samples) rows,
+    and the attacked inputs keyed by each nonzero epsilon.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     labels = np.asarray(labels, dtype=int)
     n = inputs.shape[0]
-    rows = []
+    rows, attacked = [], {}
     for eps in epsilons:
-        if eps == 0.0:
-            preds = np.argmax(net.forward(inputs), axis=1)
-        else:
+        batch = inputs
+        if eps != 0.0:
             cfg = AttackConfig(epsilon=float(eps), n_iter=n_iter, step_size=step_size)
-            attacked = pgd_l2_batch(net, inputs, labels, cfg,
-                                    margin_offset=margin_offset)
-            preds = np.argmax(net.forward(attacked), axis=1)
+            batch = attacked[float(eps)] = pgd_l2_batch(net, inputs, labels, cfg,
+                                                        margin_offset=margin_offset)
+        preds = np.argmax(net.forward(batch), axis=1)
         rows.append((float(eps), float(np.mean(preds == labels)), n))
-    return rows
+    return rows, attacked
 
 
 def robust_accuracy_to_csv(path, rows):

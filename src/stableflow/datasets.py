@@ -133,12 +133,6 @@ def downsample(images, factor=2):
     return pooled[0] if single else pooled
 
 
-def images_to_inputs(images):
-    """uint8 images -> flattened float rows in [0, 1] (no mean normalisation)."""
-    images = np.asarray(images, dtype=float) / 255.0
-    return images.reshape(images.shape[0], -1)
-
-
 # --- synthetic image corpus --------------------------------------------------
 #
 # A deterministic 10-class glyph corpus standing in for an image benchmark

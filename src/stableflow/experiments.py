@@ -312,9 +312,13 @@ class RobustResult:
 def robust_study(train_inputs, train_labels, test_inputs, test_labels, seed,
                  epochs=15, epsilons=ROBUST_EPSILONS, n_iter=100,
                  weight_decay=3e-4, margin_offset=0.5, lr_peak=1e-2,
-                 archs=("nonexpansive", "resnet"), keep_attacked=False):
+                 archs=("nonexpansive", "resnet")):
     """Train both architectures on clean images, then attack the test set on
-    an epsilon grid with l2 PGD and tabulate robust accuracy."""
+    an epsilon grid with l2 PGD and tabulate robust accuracy.
+
+    ``margin_offset`` shapes the training loss only; the attack ascends the
+    plain cross-entropy.
+    """
     dim = train_inputs.shape[1]
     n_classes = int(max(train_labels.max(), test_labels.max())) + 1
     clean, tables, nets, logs, attacked = {}, {}, {}, {}, {}
@@ -325,21 +329,10 @@ def robust_study(train_inputs, train_labels, test_inputs, test_labels, seed,
                           weight_decay=weight_decay, margin_offset=margin_offset,
                           loss="margin", seed=seed)
         logs[arch] = training.train(net, train_inputs, train_labels, cfg)
-        clean[arch] = training.classification_accuracy(net, test_inputs, test_labels)
-        rows = [(0.0, clean[arch], len(test_labels))]
-        per_eps = {}
-        for eps in epsilons:
-            cfg_a = attacks.AttackConfig(epsilon=float(eps), n_iter=n_iter)
-            adv = attacks.pgd_l2_batch(net, test_inputs, test_labels, cfg_a)
-            preds = np.argmax(net.forward(adv), axis=1)
-            rows.append((float(eps), float(np.mean(preds == test_labels)),
-                         len(test_labels)))
-            if keep_attacked:
-                per_eps[float(eps)] = adv
-        tables[arch] = rows
+        tables[arch], attacked[arch] = attacks.robust_accuracy(
+            net, test_inputs, test_labels, (0.0,) + tuple(epsilons), n_iter=n_iter)
+        clean[arch] = tables[arch][0][1]
         nets[arch] = net
-        if keep_attacked:
-            attacked[arch] = per_eps
     return RobustResult(seed=seed, clean_accuracy=clean, tables=tables, nets=nets,
                         logs=logs, test_inputs=test_inputs, test_labels=test_labels,
                         attacked=attacked)
@@ -394,41 +387,23 @@ def make_synthetic_idx_corpus(directory, n_train=6500, n_test=600, seed=0):
 
 # --- Lyapunov-stable field fitting -------------------------------------------
 
-def _projected_fit_gradients(mlp, potential, mu, x_bar, samples, targets):
-    """Row-vectorised loss and gradients for fitting the projected field.
-
-    Matches stability.lyapunov_project / lyapunov_project_vjp sample by
-    sample (cross-checked in the tests); returns (mean loss, upstream rows
-    for the base network, gradient for the potential weights summed over
-    rows).
+def lyapunov_fit_loss(mlp, system, x_bar, samples, targets):
+    """Mean squared error of the projected field against ``targets`` at
+    ``samples``, its base field being ``mlp`` offset by its value at
+    ``x_bar``.  Returns (loss, gradients): one per ``mlp.parameters()`` entry,
+    then one for the potential weights.
     """
-    u = samples - potential.center
-    z = u @ potential.weights.T
-    sig = np.maximum(z, 0.0)
-    gate = (z > 0).astype(float)
-    v = potential.eps * np.sum(u * u, axis=1) + 0.5 * np.sum(sig * sig, axis=1)
-    g = 2.0 * potential.eps * u + sig @ potential.weights
-    gg = np.sum(g * g, axis=1)
-    xhat = mlp.forward(samples) - mlp.forward(x_bar)
-    s = np.sum(g * xhat, axis=1) + mu * v
-    live = gg >= 1e-12
-    active = (s > 0.0) & live
-    a = np.where(active, s, 0.0)
-    safe_gg = np.where(live, gg, 1.0)
-    out = xhat - g * (a / safe_gg)[:, None]
-    err = out - targets
-    loss = float(np.mean(np.sum(err * err, axis=1)))
-    e = 2.0 * err
-    eg = np.sum(e * g, axis=1)
-    base_up = e - np.where(active, eg / safe_gg, 0.0)[:, None] * g
-    coeff = np.where(active, eg / safe_gg, 0.0)
-    v_g = -(coeff[:, None] * xhat + (a / safe_gg)[:, None] * e
-            - (2.0 * a * eg / safe_gg ** 2)[:, None] * g)
-    v_g[~active] = 0.0
-    c_v = -coeff * mu
-    w_grad = (sig.T @ v_g + (gate * (v_g @ potential.weights.T)).T @ u
-              + (c_v[:, None] * sig).T @ u)
-    return loss, base_up, w_grad
+    out, cache = mlp.forward_with_cache(samples)
+    out_bar, cache_bar = mlp.forward_with_cache(x_bar)
+    projected, proj_cache = stability.lyapunov_project_with_cache(
+        system, samples, out - out_bar)
+    err = projected - targets
+    base_up, w_grad = stability.lyapunov_project_vjp(system, proj_cache, 2.0 * err)
+    n = len(samples)
+    _, g = mlp.backward(cache, base_up / n)
+    _, g_bar = mlp.backward(cache_bar, -base_up.sum(axis=0) / n)
+    grads = [g[i][name] + g_bar[i][name] for i, name, _ in mlp.parameters()]
+    return float(np.mean(np.sum(err * err, axis=1))), grads + [w_grad / n]
 
 
 @dataclass
@@ -462,23 +437,17 @@ def lyapunov_study(seed, equilibrium=(0.4, -0.3), mu=2.0, hidden=32,
                           np.linspace(0, 2 * np.pi, potential_units, endpoint=False)]),
         center=x_bar)
 
+    # the base field is set once the fit is done
+    system = stability.LyapunovSystem(base_field=None, potential=potential, mu=mu)
     samples = x_bar + rng.standard_normal((n_samples, 2))
     targets = true_field(samples)
     params = [arr for _, _, arr in mlp.parameters()] + [potential.weights]
     state = training.AdamState.for_params(params)
     losses = []
-    n = len(samples)
     for _ in range(iterations):
-        loss, base_up, w_grad = _projected_fit_gradients(
-            mlp, potential, mu, x_bar, samples, targets)
+        loss, grads = lyapunov_fit_loss(mlp, system, x_bar, samples, targets)
         losses.append(loss)
-        _, cache = mlp.forward_with_cache(samples)
-        _, g = mlp.backward(cache, base_up / n)
-        _, cache_bar = mlp.forward_with_cache(x_bar)
-        _, g_bar = mlp.backward(cache_bar, -base_up.sum(axis=0) / n)
-        mlp_grads = [g[i][name] + g_bar[i][name]
-                     for i, name, _ in mlp.parameters()]
-        training.adam_step(state, params, mlp_grads + [w_grad / n], lr)
+        training.adam_step(state, params, grads, lr)
         mlp.mark_params_updated()
 
     offset = mlp.forward(x_bar)  # the fitted network is fixed from here on
@@ -486,15 +455,14 @@ def lyapunov_study(seed, equilibrium=(0.4, -0.3), mu=2.0, hidden=32,
     def base_field(x):
         return mlp.forward(x) - offset
 
-    system = stability.LyapunovSystem(base_field=base_field, potential=potential,
-                                      mu=mu)
+    system.base_field = base_field
     result = LyapunovResult(seed=seed, system=system, fit_losses=losses,
                             equilibrium=x_bar)
     fitted = stability.lyapunov_field(system)
     starts = x_bar + rng.standard_normal((n_trajectories, 2))
     for k, start in enumerate(starts):
         traj = ode.integrate(fitted, start, 0.0, traj_h, traj_steps, "euler")
-        values = [potential.value(s) for s in traj.states]
+        values = potential.value(traj.states)
         result.v_series.extend((k, i, float(v)) for i, v in enumerate(values))
     return result
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .blocks import relu
+from .blocks import relu, relu_prime
 from .errors import DegenerateGradientError, InvalidInputError
 from .linalg import format_entry
 
@@ -98,7 +98,8 @@ class ConvexPotential:
 
     where gamma(s) = s^2/2 for s > 0 and 0 otherwise (so gamma' = relu).
     Convex by construction, V(center) = 0, grad V(center) = 0, and the
-    gradient is exact and cheap.
+    gradient is exact and cheap.  ``value`` and ``grad`` take a vector or a
+    stack of rows.
     """
 
     def __init__(self, weights, center, eps=1e-3):
@@ -108,15 +109,21 @@ class ConvexPotential:
             raise InvalidInputError("weights must be (H, d) matching the center dimension")
         self.eps = float(eps)
 
-    def value(self, x):
+    def terms(self, x):
+        """(u, relu(z), V, grad V) with u = x - center and z = u W^T, the
+        shared terms from which V, grad V and their weight gradients follow."""
         u = np.asarray(x, dtype=float) - self.center
-        z = self.weights @ u
-        return float(self.eps * np.dot(u, u) + 0.5 * np.sum(relu(z) ** 2))
+        sig = relu(u @ self.weights.T)
+        value = self.eps * (u * u).sum(axis=-1) + 0.5 * (sig * sig).sum(axis=-1)
+        return u, sig, value, 2.0 * self.eps * u + sig @ self.weights
+
+    def value(self, x):
+        """V at a vector (a float) or at each row (an array)."""
+        value = self.terms(x)[2]
+        return float(value) if np.ndim(value) == 0 else value
 
     def grad(self, x):
-        u = np.asarray(x, dtype=float) - self.center
-        z = self.weights @ u
-        return 2.0 * self.eps * u + self.weights.T @ relu(z)
+        return self.terms(x)[3]
 
 
 @dataclass
@@ -141,22 +148,38 @@ class LyapunovSystem:
         return self.potential.center
 
 
+def lyapunov_project_with_cache(system, x, xhat):
+    """The projected field  X = Xhat - grad V * relu(grad V . Xhat + mu V) / ||grad V||^2
+    at a vector or at each row of ``x``, given the base-field values ``xhat``.
+
+    Returns (X, cache); the cache (u, relu(u W^T), grad V, ||grad V||^2,
+    Xhat, relu(grad V . Xhat + mu V)) feeds :func:`lyapunov_project_vjp`.
+
+    X satisfies <grad V, X> <= -mu V <= 0 wherever defined.  Where
+    ||grad V||^2 < ``degenerate_tol`` the formula is singular: at the
+    equilibrium X is Xhat exactly, anywhere else DegenerateGradientError.
+    """
+    u, sig, v, g = system.potential.terms(x)
+    gg = (g * g).sum(axis=-1)
+    s = (g * xhat).sum(axis=-1) + system.mu * v
+    degenerate = gg < system.degenerate_tol
+    if degenerate.any():
+        at_equilibrium = np.sqrt((u * u).sum(axis=-1)) <= system.equilibrium_tol
+        if (degenerate & ~at_equilibrium).any():
+            raise DegenerateGradientError(
+                "potential gradient vanished away from the equilibrium")
+        gg = np.where(degenerate, 1.0, gg)
+        s = np.where(degenerate, 0.0, s)
+    a = relu(s)
+    return xhat - g * (a / gg)[..., None], (u, sig, g, gg, xhat, a)
+
+
 def lyapunov_project(system, x):
-    """The projected field  X(x) = Xhat(x) - grad V(x) * relu(grad V . Xhat + mu V) / ||grad V||^2,
-    which satisfies <grad V, X> <= -mu V <= 0 wherever defined."""
+    """The projected field at ``x`` (a vector or rows); see
+    :func:`lyapunov_project_with_cache`."""
     x = np.asarray(x, dtype=float)
     xhat = np.asarray(system.base_field(x), dtype=float)
-    g = system.potential.grad(x)
-    gg = float(np.dot(g, g))
-    if gg < system.degenerate_tol:
-        if np.linalg.norm(x - system.equilibrium) <= system.equilibrium_tol:
-            return xhat
-        raise DegenerateGradientError(
-            "potential gradient vanished away from the equilibrium")
-    active = float(np.dot(g, xhat)) + system.mu * system.potential.value(x)
-    if active <= 0.0:
-        return xhat
-    return xhat - g * (active / gg)
+    return lyapunov_project_with_cache(system, x, xhat)[0]
 
 
 def lyapunov_field(system):
@@ -167,40 +190,35 @@ def lyapunov_field(system):
                        eval=lambda t, x: lyapunov_project(system, x))
 
 
-def lyapunov_project_vjp(system, x, upstream):
-    """Pull an upstream gradient on the projected field back to the base-field
-    output and the potential weights.
+def lyapunov_project_vjp(system, cache, upstream):
+    """Pull upstream gradient rows on the projected field back to the
+    base-field values and the potential weights.
 
-    Returns (base_upstream, weight_grad): ``base_upstream`` is the gradient to
-    feed into the base field's own backward pass, ``weight_grad`` matches
-    ``system.potential.weights``.  Used when fitting the projected field to
-    data; the relu switch is treated as locally constant.
+    ``cache`` comes from :func:`lyapunov_project_with_cache` on a stack of
+    rows.  Returns (base_upstream, weight_grad): ``base_upstream`` holds the
+    rows to feed into the base field's own backward pass, ``weight_grad``
+    matches ``system.potential.weights`` and is summed over the rows.  The
+    relu switch is treated as locally constant.
     """
-    x = np.asarray(x, dtype=float)
     e = np.asarray(upstream, dtype=float)
-    pot = system.potential
-    xhat = np.asarray(system.base_field(x), dtype=float)
-    g = pot.grad(x)
-    gg = float(np.dot(g, g))
-    if gg < system.degenerate_tol:
-        return e.copy(), np.zeros_like(pot.weights)
-    vval = pot.value(x)
-    s = float(np.dot(g, xhat)) + system.mu * vval
-    if s <= 0.0:
-        return e.copy(), np.zeros_like(pot.weights)
-    a = s  # relu(s) in the active branch
-    eg = float(np.dot(e, g))
-    # gradient to the base-field output: dX/dXhat = I - g g^T / gg
-    base_upstream = e - g * (eg / gg)
-    # gradient reaching grad-V and V through the correction term
-    v_g = -((eg / gg) * xhat + (a / gg) * e - (2.0 * a * eg / gg ** 2) * g)
-    c_v = -(eg / gg) * system.mu
-    u = x - pot.center
-    z = pot.weights @ u
-    sig = relu(z)
-    gate = (z > 0).astype(float)
-    # grad V = 2 eps u + W^T relu(W u):  d(grad V)/dW pulled back by v_g,
+    u, sig, g, gg, xhat, a = cache
+    if e.ndim != 2 or e.shape != xhat.shape:
+        raise InvalidInputError(
+            f"upstream must be rows shaped like the projection, got {e.shape}")
+    weights = system.potential.weights
+    active = a > 0.0
+    eg = np.sum(e * g, axis=1)
+    coeff = np.where(active, eg / gg, 0.0)
+    # dX/dXhat = I - g g^T / gg on active rows, the identity elsewhere
+    base_upstream = e - coeff[:, None] * g
+    # gradient reaching grad V and V through the correction term
+    v_g = -(coeff[:, None] * xhat + (a / gg)[:, None] * e
+            - (2.0 * a * eg / gg ** 2)[:, None] * g)
+    v_g[~active] = 0.0
+    c_v = -coeff * system.mu
+    # grad V = 2 eps u + W^T relu(W u): d(grad V)/dW pulled back by v_g,
     # plus dV/dW scaled by c_v
-    weight_grad = (np.outer(sig, v_g) + np.outer(gate * (pot.weights @ v_g), u)
-                   + c_v * np.outer(sig, u))
+    # relu(z) > 0 exactly where z > 0
+    weight_grad = (sig.T @ v_g + (relu_prime(sig) * (v_g @ weights.T)).T @ u
+                   + (c_v[:, None] * sig).T @ u)
     return base_upstream, weight_grad

@@ -99,8 +99,7 @@ def robust_runs(robust_corpus):
             robust_corpus["test_images"], robust_corpus["test_labels"],
             n_train=6000, n_test=500, seed=seed)
         runs[seed] = experiments.robust_study(tr_x, tr_y, te_x, te_y, seed,
-                                              epochs=15,
-                                              keep_attacked=(seed == 0))
+                                              epochs=15)
     return runs
 
 

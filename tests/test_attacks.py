@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stableflow import attacks
-from stableflow.attacks import AttackConfig, pgd_l2, pgd_l2_batch, robust_accuracy
+from stableflow.attacks import AttackConfig, pgd_l2_batch, robust_accuracy
 from stableflow.blocks import LinearLayer, Network, NonExpansiveBlock
 from stableflow.errors import InvalidInputError
 from stableflow.training import batch_margin_cross_entropy, margin_cross_entropy
@@ -15,8 +15,8 @@ def linear_net(rng, dim=6, classes=4):
 class TestPgdL2:
     def test_zero_epsilon_returns_input_exactly(self, rng):
         net = linear_net(rng)
-        x = rng.standard_normal(6)
-        out = pgd_l2(net, x, 1, AttackConfig(epsilon=0.0, n_iter=5))
+        x = rng.standard_normal((1, 6))
+        out = pgd_l2_batch(net, x, np.array([1]), AttackConfig(epsilon=0.0, n_iter=5))
         assert np.array_equal(out, x)
 
     def test_single_iteration_matches_linear_model_closed_form(self, rng):
@@ -27,7 +27,7 @@ class TestPgdL2:
         x = rng.standard_normal(6)
         label = 2
         cfg = AttackConfig(epsilon=100.0, n_iter=1, step_size=0.5)
-        out = pgd_l2(net, x, label, cfg)
+        out = pgd_l2_batch(net, x[None, :], np.array([label]), cfg)[0]
         _, grad_logits = margin_cross_entropy(net.forward(x), label, 0.0)
         grad_x = w.T @ grad_logits
         expected = x + 0.5 * grad_x / np.linalg.norm(grad_x)
@@ -102,9 +102,21 @@ class TestRobustAccuracy:
         net = linear_net(rng, dim=5, classes=3)
         xs = rng.standard_normal((50, 5))
         labels = rng.integers(0, 3, size=50)
-        rows = robust_accuracy(net, xs, labels, [0.0, 0.3], n_iter=5)
+        rows, attacked = robust_accuracy(net, xs, labels, [0.0, 0.3], n_iter=5)
         clean = float(np.mean(np.argmax(net.forward(xs), axis=1) == labels))
         assert rows[0] == (0.0, clean, 50)
+        assert list(attacked) == [0.3]
+
+    def test_rows_score_the_attacked_batches(self, rng):
+        net = linear_net(rng, dim=5, classes=3)
+        xs = rng.standard_normal((50, 5))
+        labels = rng.integers(0, 3, size=50)
+        rows, attacked = robust_accuracy(net, xs, labels, [0.2, 0.5], n_iter=5)
+        for (eps, acc, n), (key, adv) in zip(rows, attacked.items()):
+            assert eps == key and n == 50
+            assert np.array_equal(
+                adv, pgd_l2_batch(net, xs, labels, AttackConfig(epsilon=eps, n_iter=5)))
+            assert acc == float(np.mean(np.argmax(net.forward(adv), axis=1) == labels))
 
     def test_csv_export(self, rng, tmp_path):
         rows = [(0.0, 0.9, 10), (0.5, 0.7, 10)]

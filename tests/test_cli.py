@@ -8,6 +8,7 @@ from stableflow import cli, experiments, inverse
 from stableflow.blocks import (LinearLayer, Network, NonExpansiveBlock,
                                ResidualBlock, save_network)
 from stableflow.errors import StableflowError
+from stableflow.linalg import format_entry
 
 
 def read(path):
@@ -104,6 +105,26 @@ class TestVerify:
         spectral = read(out / "verify_spectral.csv").splitlines()[1:]
         assert all(line.split(",")[-1] == "1" for line in spectral)
         assert (out / "verify_certificates.csv").exists()
+
+    def test_norms_are_lapack_sigma_max(self, tmp_path, rng):
+        # a zero weight is a valid non-expansive block: sigma_max = 0 meets
+        # any step constraint
+        net = Network([NonExpansiveBlock(np.zeros((5, 4)), np.zeros(5)),
+                       NonExpansiveBlock.random(4, 5, rng),
+                       LinearLayer.random(4, 3, rng)])
+        ckpt = tmp_path / "ckpt"
+        save_network(net, ckpt)
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n-pairs=200\ncertificates=0\n")
+        assert cli.main(["verify", "--checkpoint", str(ckpt),
+                         "--out-dir", str(out), "--config", str(cfg)]) == 0
+        rows = [line.split(",") for line in
+                read(out / "verify_spectral.csv").splitlines()[1:]]
+        expected = [(str(i), name, format_entry(np.linalg.norm(arr, 2)))
+                    for i, name, arr in net.parameters() if arr.ndim == 2]
+        assert [tuple(row[:3]) for row in rows] == expected
+        assert all(row[-1] == "1" for row in rows)
 
     def test_tampered_checkpoint_fails(self, tmp_path):
         net = inverse.build_invnet(2.0, seed=0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from stableflow import inverse, linalg, ode, stability
+from conftest import fd_param_gradient
+
+from stableflow import experiments, inverse, linalg, ode, stability
 from stableflow.blocks import (ClampedScale, LinearLayer, MLPLayer, Network,
                                NonExpansiveBlock)
 from stableflow.errors import DegenerateGradientError, InvalidInputError
@@ -213,3 +215,92 @@ class TestLyapunovProject:
         assert np.dot(potential.grad(x), potential.grad(x)) < 1e-12
         with pytest.raises(DegenerateGradientError):
             stability.lyapunov_project(system, x)
+
+
+def fit_problem(rng, n=40):
+    """A small projected-field fit as lyapunov_study sets it up, with its
+    samples kept off the relu kinks of V and off the projection's switch."""
+    x_bar = np.array([0.4, -0.3])
+    mlp = Network([MLPLayer.random(2, 2, 8, rng, activation="tanh")])
+    mlp.blocks[0].weight_out *= 3.0  # strong enough to leave some rows unprojected
+    angles = np.linspace(0, 2 * np.pi, 6, endpoint=False)
+    potential = stability.ConvexPotential(
+        0.7 * np.column_stack([np.cos(angles), np.sin(angles)]), center=x_bar)
+    system = stability.LyapunovSystem(base_field=None, potential=potential, mu=0.5)
+    samples = x_bar + rng.standard_normal((4 * n, 2))
+    u = samples - x_bar
+    xhat = mlp.forward(samples) - mlp.forward(x_bar)
+    g = potential.grad(samples)
+    switch = np.sum(g * xhat, axis=1) + system.mu * potential.value(samples)
+    clear = (np.min(np.abs(u @ potential.weights.T), axis=1) > 1e-3) & (np.abs(switch) > 1e-3)
+    samples = samples[clear][:n]
+    targets = (samples - x_bar) @ np.array([[-0.5, 1.2], [-1.2, -0.5]]).T
+    return mlp, system, x_bar, samples, targets
+
+
+class TestProjectionRows:
+    def test_fit_gradients_match_finite_differences(self, rng):
+        mlp, system, x_bar, samples, targets = fit_problem(rng)
+        _, cache = stability.lyapunov_project_with_cache(
+            system, samples, mlp.forward(samples) - mlp.forward(x_bar))
+        active = cache[-1] > 0
+        assert 0 < np.sum(active) < len(samples)  # both branches are exercised
+        _, grads = experiments.lyapunov_fit_loss(mlp, system, x_bar, samples, targets)
+        arrays = [arr for _, _, arr in mlp.parameters()] + [system.potential.weights]
+
+        def loss():
+            return experiments.lyapunov_fit_loss(mlp, system, x_bar, samples, targets)[0]
+
+        fd = [fd_param_gradient(loss, arr) for arr in arrays]
+        for group in (slice(0, -1), slice(-1, None)):  # the MLP, then the potential
+            exact = np.concatenate([g.ravel() for g in grads[group]])
+            approx = np.concatenate([g.ravel() for g in fd[group]])
+            assert np.linalg.norm(approx - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_rows_match_per_row_calls(self, rng):
+        system = hand_system(rng)
+        pot = system.potential
+        xs = system.equilibrium + rng.standard_normal((50, 2))
+        values = pot.value(xs)
+        assert isinstance(pot.value(xs[0]), float) and values.shape == (50,)
+        np.testing.assert_allclose(values, [pot.value(x) for x in xs], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(pot.grad(xs), [pot.grad(x) for x in xs],
+                                   rtol=1e-13, atol=1e-15)
+        out, cache = stability.lyapunov_project_with_cache(system, xs, system.base_field(xs))
+        assert 0 < np.sum(cache[-1] > 0) < len(xs)
+        np.testing.assert_allclose(out, [stability.lyapunov_project(system, x) for x in xs],
+                                   rtol=1e-13, atol=1e-15)
+        upstream = rng.standard_normal(xs.shape)
+        base_up, w_grad = stability.lyapunov_project_vjp(system, cache, upstream)
+        per_row = [stability.lyapunov_project_vjp(
+            system, stability.lyapunov_project_with_cache(
+                system, x[None], system.base_field(x[None]))[1], e[None])
+            for x, e in zip(xs, upstream)]
+        np.testing.assert_allclose(base_up, [b[0] for b, _ in per_row],
+                                   rtol=1e-13, atol=1e-15)
+        total = sum(w for _, w in per_row)
+        assert np.max(np.abs(w_grad - total)) <= 1e-13 * np.max(np.abs(total))
+
+    def test_degenerate_row_in_a_stack_raises(self):
+        potential = stability.ConvexPotential(np.array([[1.0, 0.0]]), center=np.zeros(2))
+        system = stability.LyapunovSystem(base_field=lambda x: -x, potential=potential,
+                                          mu=1.0)
+        xs = np.array([[1.0, 1.0], [-1e-5, 0.0], [0.5, -0.3]])
+        with pytest.raises(DegenerateGradientError):
+            stability.lyapunov_project(system, xs)
+
+    def test_equilibrium_row_in_a_stack_keeps_the_base_field(self):
+        potential = stability.ConvexPotential(np.array([[1.0, 0.0]]), center=np.zeros(2))
+        system = stability.LyapunovSystem(base_field=lambda x: 1.0 - x,
+                                          potential=potential, mu=1.0)
+        xs = np.array([[0.0, 0.0], [1.5, 0.5]])
+        out = stability.lyapunov_project(system, xs)
+        assert np.array_equal(out[0], np.ones(2))
+        assert np.array_equal(out[1], stability.lyapunov_project(system, xs[1]))
+
+    def test_vjp_takes_rows_only(self, rng):
+        system = hand_system(rng)
+        x = system.equilibrium + rng.standard_normal(2)
+        _, cache = stability.lyapunov_project_with_cache(system, x, system.base_field(x))
+        with pytest.raises(InvalidInputError):
+            stability.lyapunov_project_vjp(system, cache, np.ones(2))
