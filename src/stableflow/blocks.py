@@ -109,6 +109,15 @@ class NonExpansiveBlock(Block):
     ``update_step_count`` maintains from the running spectral estimate.
     ``norm_inflation`` pads the estimate because a single warm-started power
     iteration can lag the true norm during training.
+
+    The sub-steps run on the pre-activation z_k = x_k W^T + b (rows), with
+    r_k = relu(z_k) and G = h W W^T:
+
+        z_{k+1} = z_k - r_k G,    x_n = x_0 - h (sum_k r_k) W.
+
+    A forward is n + 1 GEMMs (two d x H, n - 1 H x H) instead of 2n d x H,
+    and the backward runs the same recurrence on u = g W^T.  One sub-step
+    costs H^2 per row instead of 2 H d, so this pays while H < 2d.
     """
 
     kind = "nonexpansive"
@@ -150,37 +159,72 @@ class NonExpansiveBlock(Block):
         self.spectral = linalg.power_method(self.weight, u0, iterations)
         return self.spectral
 
+    def _steps_for(self, norm):
+        """Smallest n with h = total_time/n satisfying h <= 2/norm^2."""
+        return max(1, int(np.ceil(self.total_time * norm * norm / 2.0)))
+
     def update_step_count(self):
-        """Smallest n with h = total_time/n satisfying h <= 2/||W||^2."""
-        norm = self.norm_inflation * self.spectral.norm
-        self.n_steps = max(1, int(np.ceil(self.total_time * norm * norm / 2.0)))
+        """Sub-step count from the padded running estimate of ||W||."""
+        self.n_steps = self._steps_for(self.norm_inflation * self.spectral.norm)
+        return self.n_steps
+
+    def cover_spectral_norm(self):
+        """Raise ``n_steps``, never lower it, to the count the LAPACK norm
+        asks for, which the running estimate can lag; returns the count."""
+        self.n_steps = max(self.n_steps, self._steps_for(np.linalg.norm(self.weight, 2)))
         return self.n_steps
 
     def _forward(self, xs, keep_cache):
         if self.n_steps < 1:
             raise InvalidStateError("block has no integration sub-steps")
-        h = self.total_time / self.n_steps
-        steps = []
-        for _ in range(self.n_steps):
-            z = xs @ self.weight.T + self.bias
+        n = self.n_steps
+        h = self.total_time / n
+        gram = h * (self.weight @ self.weight.T) if n > 1 else None
+        z = xs @ self.weight.T
+        z += self.bias
+        r = relu(z)
+        rs = [r]
+        s = r.copy() if n > 1 else r
+        for _ in range(1, n):
+            z -= r @ gram
             if keep_cache:
-                steps.append((xs, z))
-            xs = xs - h * relu(z) @ self.weight
-        return xs, {"steps": steps, "h": h}
+                r = relu(z)
+                rs.append(r)
+            else:
+                np.maximum(z, 0.0, out=r)
+            s += r
+        del z  # y may take its memory: a plain forward stays at four row arrays
+        y = s @ self.weight
+        y *= -h
+        y += xs
+        return y, {"x": xs, "r": rs, "s": s, "gram": gram, "h": h}
 
     def _backward(self, cache, g, params):
-        h = cache["h"]
-        gw = np.zeros_like(self.weight) if params else None
-        gb = np.zeros_like(self.bias) if params else None
-        for x_in, z in reversed(cache["steps"]):
-            mask = z > 0
-            mg = np.where(mask, g @ self.weight.T, 0.0)
-            if params:
-                r = np.where(mask, z, 0.0)
-                gw -= h * (r.T @ g + mg.T @ x_in)
-                gb -= h * mg.sum(axis=0)
-            g = g - h * mg @ self.weight
-        return g, {"weight": gw, "bias": gb}
+        h, gram, rs = cache["h"], cache["gram"], cache["r"]
+        u = g @ self.weight.T
+        c = None
+        cross = np.zeros((u.shape[1], u.shape[1])) if params and len(rs) > 1 else None
+        for k in range(len(rs) - 1, -1, -1):
+            m = np.where(rs[k] > 0, u, 0.0)
+            if c is None:
+                c = m
+            else:
+                if params:
+                    cross += rs[k].T @ c
+                c += m
+            if k:
+                u -= m @ gram
+        gx = c @ self.weight
+        gx *= -h
+        gx += g
+        if not params:
+            return gx, None
+        # sum_k r_k^T C_{>k} + m_k^T P_k is cross + cross^T: both sum
+        # r_j^T m_k over the pairs j < k
+        gw = cache["s"].T @ g + c.T @ cache["x"]
+        if cross is not None:
+            gw -= h * ((cross + cross.T) @ self.weight)
+        return gx, {"weight": -h * gw, "bias": -h * c.sum(axis=0)}
 
     def lipschitz_bound(self):
         # each sub-step's Jacobian I - h W^T D W (D a 0/1 diagonal) has its

@@ -209,8 +209,9 @@ def save_matrix(path, a):
     a = as_matrix(a)
     with open(path, "w") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(format_entry(x) for x in row) + "\n")
+        # repr of a Python float is format_entry of the entry, byte for byte
+        for row in a.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_matrix(path):

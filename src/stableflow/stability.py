@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .blocks import relu, relu_prime
 from .errors import DegenerateGradientError, InvalidInputError
 from .linalg import format_entry
@@ -86,8 +85,7 @@ def one_sided_lipschitz_estimate(field, samples, fd_step=1e-5):
     for x in samples:
         jac = _fd_jacobian(lambda v: field.eval(0.0, v), x, step=fd_step)
         sym = 0.5 * (jac + jac.T)
-        eigenvalues = linalg.jacobi_eigenvalues(sym)
-        best = max(best, float(eigenvalues[-1]))
+        best = max(best, float(np.linalg.eigvalsh(sym)[-1]))
     return best
 
 

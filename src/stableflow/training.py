@@ -2,7 +2,9 @@
 
 The loop keeps non-expansive blocks honest: after every optimiser step it
 advances each block's spectral estimate by one warm-started power iteration
-and re-derives the sub-step count from the step-size constraint.
+and re-derives the sub-step count from the step-size constraint.  That
+estimate can lag the true norm, so the loop ends by raising each count to
+cover the LAPACK norm: a trained network never leaves with an expansive step.
 """
 
 import math
@@ -197,7 +199,8 @@ def classification_accuracy(net, inputs, labels):
 def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
           callback=None):
     """Minibatch training with spectral-estimate refresh and step-count
-    adaptation after every optimiser step.
+    adaptation after every optimiser step, and a final raise of each
+    non-expansive step count to cover the LAPACK spectral norm.
 
     ``targets`` are integer labels for the margin loss and float rows for
     mse.  ``callback(step, net)`` runs after each completed step.  Raises
@@ -280,4 +283,8 @@ def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
         if eval_inputs is not None and (step + 1) % steps_per_epoch == 0:
             log.epoch_accuracy.append(
                 classification_accuracy(net, eval_inputs, eval_labels))
+    for idx, block in nonexpansive:
+        previous = block.n_steps
+        if block.cover_spectral_norm() != previous:
+            log.step_counts.append((total_steps, idx, block.n_steps))
     return log

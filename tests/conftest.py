@@ -79,6 +79,29 @@ def block_gradient_check(block, x, weights, step=1e-5):
     return worst
 
 
+def nonexpansive_reference(block, x, grad_out):
+    """A non-expansive block's sub-steps run on x itself, as the definition
+    reads: x <- x - h W^T relu(W x + b), each sub-step pulled back in turn.
+    Returns the output, the input gradient and the parameter gradients of
+    the functional sum(grad_out * forward(x)), for a vector or rows."""
+    xs, g = np.atleast_2d(x), np.atleast_2d(grad_out)
+    w, b = block.weight, block.bias
+    h = block.total_time / block.n_steps
+    steps = []
+    for _ in range(block.n_steps):
+        z = xs @ w.T + b
+        steps.append((xs, z))
+        xs = xs - h * np.maximum(z, 0.0) @ w
+    gw, gb = np.zeros_like(w), np.zeros_like(b)
+    for x_in, z in reversed(steps):
+        mask = z > 0
+        mg = np.where(mask, g @ w.T, 0.0)
+        gw -= h * (np.where(mask, z, 0.0).T @ g + mg.T @ x_in)
+        gb -= h * mg.sum(axis=0)
+        g = g - h * mg @ w
+    return xs.reshape(np.shape(x)), g.reshape(np.shape(x)), {"weight": gw, "bias": gb}
+
+
 def canonical_skew(d):
     """The 2d x 2d canonical symplectic form [[0, I], [-I, 0]]."""
     top = np.hstack([np.zeros((d, d)), np.eye(d)])

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import block_gradient_check, canonical_skew, fd_jacobian, gapped_matrix
+from conftest import (block_gradient_check, canonical_skew, fd_jacobian,
+                      gapped_matrix, max_rel_err, nonexpansive_reference)
 from stableflow import blocks, linalg
 from stableflow.blocks import (ClampedScale, HamiltonianBlock, LiftLayer,
                                LinearLayer, MLPLayer, Network,
@@ -123,6 +124,28 @@ class TestNonExpansiveBlock:
         ratios = (np.linalg.norm(field(xs) - field(ys), axis=1)
                   / np.linalg.norm(xs - ys, axis=1))
         assert np.max(ratios) <= lim + 1e-6
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 8])
+@pytest.mark.parametrize("hidden", [12, 7, 20])
+@pytest.mark.parametrize("shape", [(12,), (5, 12)], ids=["vector", "rows"])
+def test_preactivation_substeps_match_reference(rng, n_steps, hidden, shape):
+    block = NonExpansiveBlock.random(12, hidden, rng)
+    block.n_steps = n_steps
+    x = rng.standard_normal(shape) * 2.0
+    g = rng.standard_normal(shape)
+    y_ref, gx_ref, grads_ref = nonexpansive_reference(block, x, g)
+    y, cache = block.forward_with_cache(x)
+    assert np.shape(y) == shape
+    assert max_rel_err(y, y_ref) <= 1e-12
+    assert max_rel_err(block.forward(x), y_ref) <= 1e-12
+    gx, grads = block.backward(cache, g)
+    gx_only, _ = block.backward(cache, g, params=False)
+    assert np.shape(gx) == shape
+    assert max_rel_err(gx, gx_ref) <= 1e-12
+    assert max_rel_err(gx_only, gx_ref) <= 1e-12
+    for name in ("weight", "bias"):
+        assert max_rel_err(grads[name], grads_ref[name]) <= 1e-12, name
 
 
 class TestHamiltonianBlock:
@@ -248,8 +271,11 @@ class TestPlainForwardMemory:
             finally:
                 tracemalloc.stop()
 
-        # the cached forward holds every sub-step's (x, z): the probe sees it
-        assert peak(lambda: block.forward_with_cache(xs)) >= 2 * block.n_steps
+        # the cached forward holds every sub-step's relu(z) and no more than
+        # a few other rows: the probe sees both
+        cached = peak(lambda: block.forward_with_cache(xs))
+        assert cached >= block.n_steps
+        assert cached <= block.n_steps + 4
         assert peak(lambda: block.forward(xs)) < 6
         assert np.array_equal(xs, before)
 

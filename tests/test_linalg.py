@@ -186,6 +186,15 @@ class TestSerialization:
         first = path.read_text().splitlines()[0]
         assert first == "4 7"
 
+    def test_entries_written_as_format_entry(self, tmp_path):
+        a = np.array([[-0.0, 5e-324, 1e300], [3.0, 0.1 + 0.2, -1.5e-7]])
+        path = tmp_path / "a.txt"
+        linalg.save_matrix(path, a)
+        expected = "2 3\n" + "".join(
+            " ".join(linalg.format_entry(x) for x in row) + "\n" for row in a)
+        assert path.read_text() == expected
+        assert "-0.0 5e-324 1e+300\n3.0 0.30000000000000004 " in expected
+
     def test_vector_round_trip(self, rng, tmp_path):
         v = rng.standard_normal(9)
         path = tmp_path / "v.txt"

@@ -182,6 +182,35 @@ class TestTrainLoop:
         assert violations == []
         assert log.step_counts[0][0] == 0  # warmup count recorded
 
+    def test_trained_step_count_covers_the_true_norm(self, rng):
+        # the power vector settles on e1; a last update along e2, which it
+        # does not see, leaves the running estimate at 1 while ||W|| = 3
+        block = NonExpansiveBlock(np.diag([1.0, 0.5]), np.zeros(2))
+        net = Network([block])
+
+        def grow_unseen_direction(step, net_):
+            if step == 2:
+                block.weight[1, 1] = 3.0
+
+        cfg = TrainConfig(iterations=3, batch_size=4, optimiser="sgd",
+                          lr_min=0.0, lr_peak=0.0, loss="mse", seed=0)
+        log = train(net, rng.standard_normal((4, 2)), np.zeros((4, 2)), cfg,
+                    callback=grow_unseen_direction)
+        assert block.spectral.norm < 1.5
+        # h * ||W||^2 = (1 / 5) * 9 <= 2, and 4 sub-steps would break it
+        assert block.n_steps == 5
+        assert log.step_counts[-1] == (3, 0, 5)
+
+    def test_final_step_count_is_never_lowered(self, rng):
+        # T ||W||^2 / 2 = 2.99 needs 3 sub-steps; the padded estimate asks 4
+        block = NonExpansiveBlock(np.diag([np.sqrt(5.98), 0.1]), np.zeros(2))
+        cfg = TrainConfig(iterations=2, batch_size=4, optimiser="sgd",
+                          lr_min=0.0, lr_peak=0.0, loss="mse", seed=0)
+        log = train(Network([block]), rng.standard_normal((4, 2)),
+                    np.zeros((4, 2)), cfg)
+        assert block.n_steps == 4
+        assert log.step_counts == [(0, 0, 4)]
+
     def test_epoch_accuracy_logged(self, rng):
         xs = rng.standard_normal((40, 3))
         labels = (xs[:, 0] > 0).astype(int)
