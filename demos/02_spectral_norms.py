@@ -1,9 +1,11 @@
 """Tracking spectral norms with the power method.
 
-The non-expansive blocks need ||W||_2 at every training step.  Running the
-iteration u <- W^T W u / ||W^T W u|| from scratch each time would be
-wasteful; warm-starting from the previous top-singular-vector estimate makes
-a single iteration per step enough.
+The iteration u <- W^T W u / ||W^T W u|| estimates ||W||_2 from below.
+Warm-started from the previous top-singular-vector estimate, a single
+iteration per step follows a slowly drifting matrix.  It can still lag: a
+step that grows W along a direction the vector does not see goes unnoticed,
+which is why the non-expansive blocks take their step counts from LAPACK
+(``linalg.spectral_norm``) instead.
 """
 
 import numpy as np

@@ -16,13 +16,13 @@ from stableflow.blocks import ClampedScale, Network, NonExpansiveBlock
 rng = np.random.default_rng(1)
 
 block = NonExpansiveBlock.random(8, 12, rng, total_time=1.0)
-print(f"fresh block: ||W|| ~ {block.spectral.norm:.3f}, n_steps = {block.n_steps}")
+print(f"fresh block: ||W|| = {linalg.spectral_norm(block.weight):.3f}, "
+      f"n_steps = {block.n_steps}")
 
 # inflate the weights as an optimiser might; the step count adapts
 for scale in (2.0, 4.0, 8.0):
-    block.weight *= scale / linalg.spectral_norm_oracle(block.weight)
-    block.refresh_spectral(100)
-    block.update_step_count()
+    block.weight *= scale / linalg.spectral_norm(block.weight)
+    block.refresh_spectral()
     h = block.total_time / block.n_steps
     print(f"||W|| = {scale}: n_steps -> {block.n_steps:>3}  "
           f"(h = {h:.4f} <= 2/||W||^2 = {2 / scale**2:.4f})")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import format_entry
+from .linalg import write_csv
 from .training import batch_margin_cross_entropy
 
 _ZERO_GRAD_FLOOR = 1e-300
@@ -34,14 +34,14 @@ class AttackConfig:
             raise InvalidInputError(f"step_size must be positive, got {self.step_size}")
 
 
-def _input_gradients(net, xs, labels, margin_offset):
+def _input_gradients(net, xs, labels):
     logits, cache = net.forward_with_cache(xs)
-    _, gout = batch_margin_cross_entropy(logits, labels, margin_offset)
+    _, gout = batch_margin_cross_entropy(logits, labels)
     gin, _ = net.backward(cache, gout, params=False)
     return np.atleast_2d(gin)
 
 
-def pgd_l2_batch(net, xs, labels, cfg, margin_offset=0.0, stats=None):
+def pgd_l2_batch(net, xs, labels, cfg, stats=None):
     """Attack a stack of inputs at once.
 
     Starting from the clean inputs, each iteration ascends the loss along the
@@ -56,7 +56,7 @@ def pgd_l2_batch(net, xs, labels, cfg, margin_offset=0.0, stats=None):
     delta = np.zeros_like(xs)
     zero_grad = 0
     for _ in range(cfg.n_iter):
-        grad = _input_gradients(net, xs + delta, labels, margin_offset)
+        grad = _input_gradients(net, xs + delta, labels)
         norms = np.linalg.norm(grad, axis=1, keepdims=True)
         live = norms > _ZERO_GRAD_FLOOR
         zero_grad += int(np.sum(~live))
@@ -70,8 +70,7 @@ def pgd_l2_batch(net, xs, labels, cfg, margin_offset=0.0, stats=None):
     return xs + delta
 
 
-def robust_accuracy(net, inputs, labels, epsilons, n_iter=100, step_size=None,
-                    margin_offset=0.0):
+def robust_accuracy(net, inputs, labels, epsilons, n_iter=100):
     """Fraction of samples still classified correctly after a PGD attack at
     each epsilon.  epsilon = 0 reports clean accuracy exactly (no attack).
 
@@ -85,16 +84,12 @@ def robust_accuracy(net, inputs, labels, epsilons, n_iter=100, step_size=None,
     for eps in epsilons:
         batch = inputs
         if eps != 0.0:
-            cfg = AttackConfig(epsilon=float(eps), n_iter=n_iter, step_size=step_size)
-            batch = attacked[float(eps)] = pgd_l2_batch(net, inputs, labels, cfg,
-                                                        margin_offset=margin_offset)
+            cfg = AttackConfig(epsilon=float(eps), n_iter=n_iter)
+            batch = attacked[float(eps)] = pgd_l2_batch(net, inputs, labels, cfg)
         preds = np.argmax(net.forward(batch), axis=1)
         rows.append((float(eps), float(np.mean(preds == labels)), n))
     return rows, attacked
 
 
 def robust_accuracy_to_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("epsilon,accuracy,n_samples\n")
-        for eps, acc, n in rows:
-            fh.write(f"{format_entry(eps)},{format_entry(acc)},{n}\n")
+    return write_csv(path, "epsilon,accuracy,n_samples", rows)

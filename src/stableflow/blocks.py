@@ -105,10 +105,10 @@ class NonExpansiveBlock(Block):
     """Explicit Euler sub-steps of the gradient flow of a convex potential:
     x <- x - h * W^T relu(W x + b) with h = total_time / n_steps.
 
-    The step is 1-Lipschitz whenever h <= 2 / ||W||_2^2, which
-    ``update_step_count`` maintains from the running spectral estimate.
-    ``norm_inflation`` pads the estimate because a single warm-started power
-    iteration can lag the true norm during training.
+    The step is 1-Lipschitz whenever h <= 2 / ||W||_2^2.  ``refresh_spectral``
+    sets ``n_steps`` to the fewest sub-steps that meet it, from the LAPACK
+    norm; the constructor calls it, and so must any code that changes the
+    weight (``training.train`` does after every optimiser step).
 
     The sub-steps run on the pre-activation z_k = x_k W^T + b (rows), with
     r_k = relu(z_k) and G = h W W^T:
@@ -122,10 +122,9 @@ class NonExpansiveBlock(Block):
 
     kind = "nonexpansive"
     param_names = ("weight", "bias")
-    checkpoint_attrs = (("total_time", float), ("norm_inflation", float),
-                        ("n_steps", _step_count))
+    checkpoint_attrs = (("total_time", float), ("n_steps", _step_count))
 
-    def __init__(self, weight, bias, total_time=1.0, norm_inflation=1.01):
+    def __init__(self, weight, bias, total_time=1.0):
         self.weight = np.array(weight, dtype=float)
         self.bias = np.array(bias, dtype=float)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
@@ -133,16 +132,12 @@ class NonExpansiveBlock(Block):
         if total_time <= 0:
             raise InvalidInputError(f"total_time must be positive, got {total_time}")
         self.total_time = float(total_time)
-        self.norm_inflation = float(norm_inflation)
-        self.spectral = None
-        self.n_steps = 1
-        self.refresh_spectral(100)
-        self.update_step_count()
+        self.refresh_spectral()
 
     @classmethod
-    def random(cls, dim, hidden, rng, total_time=1.0, norm_inflation=1.01):
+    def random(cls, dim, hidden, rng, total_time=1.0):
         return cls(uniform_init(rng, hidden, dim), uniform_bias(rng, hidden, dim),
-                   total_time=total_time, norm_inflation=norm_inflation)
+                   total_time=total_time)
 
     @property
     def dim_in(self):
@@ -150,28 +145,12 @@ class NonExpansiveBlock(Block):
 
     dim_out = dim_in
 
-    def refresh_spectral(self, iterations=1):
-        """Advance the power-method estimate; warm-starts from the last vector."""
-        if self.spectral is None:
-            u0 = linalg.counter_seeded_unit(self.weight.shape[1], 0)
-        else:
-            u0 = self.spectral.vector
-        self.spectral = linalg.power_method(self.weight, u0, iterations)
-        return self.spectral
-
-    def _steps_for(self, norm):
-        """Smallest n with h = total_time/n satisfying h <= 2/norm^2."""
-        return max(1, int(np.ceil(self.total_time * norm * norm / 2.0)))
-
-    def update_step_count(self):
-        """Sub-step count from the padded running estimate of ||W||."""
-        self.n_steps = self._steps_for(self.norm_inflation * self.spectral.norm)
-        return self.n_steps
-
-    def cover_spectral_norm(self):
-        """Raise ``n_steps``, never lower it, to the count the LAPACK norm
-        asks for, which the running estimate can lag; returns the count."""
-        self.n_steps = max(self.n_steps, self._steps_for(np.linalg.norm(self.weight, 2)))
+    def refresh_spectral(self):
+        """Set ``n_steps`` to ceil(total_time ||W||_2^2 / 2), at least 1: the
+        smallest count whose h = total_time / n_steps meets h ||W||^2 <= 2.
+        Returns the count."""
+        norm = linalg.spectral_norm(self.weight)
+        self.n_steps = max(1, int(np.ceil(self.total_time * norm * norm / 2.0)))
         return self.n_steps
 
     def _forward(self, xs, keep_cache):
@@ -229,7 +208,7 @@ class NonExpansiveBlock(Block):
     def lipschitz_bound(self):
         # each sub-step's Jacobian I - h W^T D W (D a 0/1 diagonal) has its
         # spectrum in [1 - h ||W||^2, 1]
-        q = self.total_time / self.n_steps * np.linalg.norm(self.weight, 2) ** 2
+        q = self.total_time / self.n_steps * linalg.spectral_norm(self.weight) ** 2
         return float(max(1.0, q - 1.0) ** self.n_steps)
 
 
@@ -471,8 +450,7 @@ class LinearLayer(Block):
         return g @ self.weight, grads
 
     def lipschitz_bound(self):
-        # LAPACK's sigma_max; a power method converges to it from below
-        return float(np.linalg.norm(self.weight, 2))
+        return linalg.spectral_norm(self.weight)
 
 
 class LiftLayer(Block):

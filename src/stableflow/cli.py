@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import __version__, blocks, experiments, stability
+from . import __version__, blocks, experiments, linalg, stability
 from .errors import StableflowError
 
 
@@ -35,7 +35,12 @@ def read_kv_config(path):
 
 
 class RunContext:
-    """Tracks outputs and writes the manifest on both exit paths."""
+    """Tracks outputs and writes the manifest on both exit paths.
+
+    Used as a context manager around a subcommand's body: a clean exit runs
+    ``finish``, and a typed library error, an I/O error or a bad value
+    becomes ``fail`` with the error's message.
+    """
 
     def __init__(self, subcommand, out_dir, seed, config):
         self.subcommand = subcommand
@@ -66,6 +71,16 @@ class RunContext:
             lines.append(f"error {error}")
         with open(os.path.join(self.out_dir, "manifest.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc is None:
+            self.finish()
+        elif isinstance(exc, (StableflowError, OSError, ValueError)):
+            self.fail(str(exc))
+        return False
 
     def finish(self):
         bad = [p for p in self.outputs if not _output_ok(p)]
@@ -118,22 +133,17 @@ def _resolved(defaults, file_config, args, keys):
 # --- subcommands -------------------------------------------------------------
 
 def cmd_oscillator(args, file_config):
-    ctx = RunContext("oscillator", args.out_dir, args.seed, {})
-    try:
+    with RunContext("oscillator", args.out_dir, args.seed, {}) as ctx:
         cfg = _resolved({"h": 0.1, "steps": 500}, file_config, args, ["h", "steps"])
         ctx.config.update(cfg)
         result = experiments.oscillator_study(h=cfg["h"], n_steps=int(cfg["steps"]))
         ctx.add(experiments.write_oscillator_csvs(result, args.out_dir))
-    except (StableflowError, OSError, ValueError) as exc:
-        ctx.fail(str(exc))
-    return ctx.finish()
 
 
 def cmd_swissroll(args, file_config):
     defaults = {"arch": "hnn", "layers": 12, "samples": 1000, "noise": 0.05,
                 "probe-every": 100, "epochs": 0}
-    ctx = RunContext("swissroll", args.out_dir, args.seed, {})
-    try:
+    with RunContext("swissroll", args.out_dir, args.seed, {}) as ctx:
         cfg = _resolved(defaults, file_config, args, ["arch", "layers", "epochs"])
         ctx.config.update(cfg)
         settings = {"epochs": int(cfg["epochs"])} if int(cfg["epochs"]) else None
@@ -142,16 +152,12 @@ def cmd_swissroll(args, file_config):
             n_samples=int(cfg["samples"]), noise=float(cfg["noise"]),
             probe_every=int(cfg["probe-every"]), settings=settings)
         ctx.add(experiments.write_swissroll_csvs(result, args.out_dir))
-    except (StableflowError, OSError, ValueError) as exc:
-        ctx.fail(str(exc))
-    return ctx.finish()
 
 
 def cmd_inverse(args, file_config):
     defaults = {"n-train": 200, "n-test": 200, "epsilon": 0.25,
                 "noise-sigma": 0.1, "iterations": 10000}
-    ctx = RunContext("inverse", args.out_dir, args.seed, {})
-    try:
+    with RunContext("inverse", args.out_dir, args.seed, {}) as ctx:
         cfg = _resolved(defaults, file_config, args, ["iterations"])
         ctx.config.update(cfg)
         result = experiments.inverse_study(
@@ -163,17 +169,13 @@ def cmd_inverse(args, file_config):
             ckpt = os.path.join(args.out_dir, f"invnet_{label}_seed{args.seed}")
             blocks.save_network(net, ckpt)
             ctx.add(ckpt)
-    except (StableflowError, OSError, ValueError) as exc:
-        ctx.fail(str(exc))
-    return ctx.finish()
 
 
 def cmd_robust(args, file_config):
     defaults = {"n-train": 6000, "n-test": 500, "epochs": 15, "n-iter": 100,
                 "weight-decay": 3e-4, "margin-offset": 0.5, "lr-peak": 1e-2,
                 "pool-factor": 2}
-    ctx = RunContext("robust", args.out_dir, args.seed, {})
-    try:
+    with RunContext("robust", args.out_dir, args.seed, {}) as ctx:
         cfg = _resolved(defaults, file_config, args, ["epochs"])
         ctx.config.update(cfg)
         for path in (args.train_images, args.train_labels, args.test_images,
@@ -193,16 +195,12 @@ def cmd_robust(args, file_config):
             ckpt = os.path.join(args.out_dir, f"{arch}_seed{args.seed}")
             blocks.save_network(net, ckpt)
             ctx.add(ckpt)
-    except (StableflowError, OSError, ValueError) as exc:
-        ctx.fail(str(exc))
-    return ctx.finish()
 
 
 def cmd_lyapunov(args, file_config):
     defaults = {"mu": 2.0, "samples": 200, "iterations": 600,
                 "trajectories": 100, "traj-steps": 1000, "traj-h": 1e-3}
-    ctx = RunContext("lyapunov", args.out_dir, args.seed, {})
-    try:
+    with RunContext("lyapunov", args.out_dir, args.seed, {}) as ctx:
         cfg = _resolved(defaults, file_config, args, [])
         ctx.config.update(cfg)
         result = experiments.lyapunov_study(
@@ -211,15 +209,11 @@ def cmd_lyapunov(args, file_config):
             n_trajectories=int(cfg["trajectories"]),
             traj_steps=int(cfg["traj-steps"]), traj_h=float(cfg["traj-h"]))
         ctx.add(experiments.write_lyapunov_csvs(result, args.out_dir))
-    except (StableflowError, OSError, ValueError) as exc:
-        ctx.fail(str(exc))
-    return ctx.finish()
 
 
 def cmd_verify(args, file_config):
     defaults = {"n-pairs": 10000, "certificates": 50}
-    ctx = RunContext("verify", args.out_dir, args.seed, {})
-    try:
+    with RunContext("verify", args.out_dir, args.seed, {}) as ctx:
         cfg = _resolved(defaults, file_config, args, [])
         ctx.config.update(cfg)
         net = blocks.load_network(args.checkpoint)
@@ -230,8 +224,7 @@ def cmd_verify(args, file_config):
             for name, arr in block.params().items():
                 if arr.ndim != 2:
                     continue
-                # LAPACK sigma_max; a power method converges from below
-                norm = float(np.linalg.norm(arr, 2))
+                norm = linalg.spectral_norm(arr)
                 if block.kind == "nonexpansive":
                     h = block.total_time / block.n_steps
                     ok = int(norm == 0.0 or h <= 2.0 / norm ** 2 + 1e-12)
@@ -268,12 +261,8 @@ def cmd_verify(args, file_config):
         if net.dim_out >= 2 and n_cert > 0:
             points = rng.standard_normal((n_cert, net.dim_in))
             certs = [stability.certified_radius(net, x, bound) for x in points]
-            path = os.path.join(args.out_dir, "verify_certificates.csv")
-            stability.certificates_to_csv(path, certs)
-            ctx.add(path)
-    except (StableflowError, OSError, ValueError) as exc:
-        ctx.fail(str(exc))
-    return ctx.finish()
+            ctx.add(stability.certificates_to_csv(
+                os.path.join(args.out_dir, "verify_certificates.csv"), certs))
 
 
 def main(argv=None):
@@ -337,7 +326,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     file_config = read_kv_config(args.config) if args.config else {}
-    return args.func(args, file_config)
+    args.func(args, file_config)
+    return 0
 
 
 if __name__ == "__main__":

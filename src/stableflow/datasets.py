@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError, InvalidInputError
-from .linalg import format_entry
+from .linalg import write_csv
 
 SWISS_ROLL_T_MIN = np.pi / 2
 SWISS_ROLL_T_MAX = 3 * np.pi
@@ -37,10 +37,8 @@ class LabeledDataset:
 
     def to_csv(self, path):
         d = self.inputs.shape[1]
-        with open(path, "w") as fh:
-            fh.write(",".join(f"x{i + 1}" for i in range(d)) + ",label\n")
-            for x, y in zip(self.inputs, self.labels):
-                fh.write(",".join(format_entry(v) for v in x) + f",{y}\n")
+        return write_csv(path, ",".join(f"x{i + 1}" for i in range(d)) + ",label",
+                         [x + [y] for x, y in zip(self.inputs.tolist(), self.labels.tolist())])
 
 
 def swiss_roll(n, noise=0.05, seed=0):

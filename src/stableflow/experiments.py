@@ -13,18 +13,8 @@ import numpy as np
 from . import attacks, datasets, inverse, ode, stability, training
 from .blocks import (HamiltonianBlock, LinearLayer, MLPLayer, Network,
                      NonExpansiveBlock, ResidualBlock, jacobian_norm_probe)
-from .linalg import format_entry
+from .linalg import write_csv
 from .training import TrainConfig
-
-
-def write_csv(path, header, rows):
-    """CSV writer with round-tripping float formatting (determinism surface)."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format_entry(v) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
-    return path
 
 
 # --- harmonic oscillator -----------------------------------------------------

@@ -17,7 +17,7 @@ _RESEED_FLOOR = 1e-30
 
 @dataclass
 class SpectralEstimate:
-    """Running power-method state for one weight matrix.
+    """Result of :func:`power_method`, which can be warm-started from it.
 
     ``vector`` is the unit-norm estimate of the top right singular vector;
     ``norm`` estimates the spectral norm and converges to it from below.
@@ -87,6 +87,18 @@ def power_method(a, u0, k):
     if wn < _RESEED_FLOOR:
         return SpectralEstimate(vector=u, norm=0.0)
     return SpectralEstimate(vector=u, norm=float(np.sqrt(wn)))
+
+
+def spectral_norm(a):
+    """||a||_2, the square root of the top eigenvalue of the smaller Gram
+    matrix (a a^T or a^T a) from LAPACK's symmetric eigensolver.
+
+    The one source of sigma_max behind the sub-step counts, the non-expansive
+    and linear Lipschitz bounds, and ``verify``'s step check.
+    """
+    a = as_matrix(a)
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
 
 
 def matrix_exponential(a):
@@ -199,6 +211,17 @@ def spectral_norm_oracle(a):
 def format_entry(x):
     """Shortest decimal representation that round-trips a float64."""
     return repr(float(x))
+
+
+def write_csv(path, header, rows):
+    """CSV writer with round-tripping float formatting (determinism surface):
+    floats go through ``format_entry``, everything else through ``str``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format_entry(v) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) + "\n")
+    return path
 
 
 # Matrices serialise to plain text: "rows cols" on the first line, then one

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidInputError, NumericOverflowError
-from .linalg import as_matrix, as_vector, format_entry, matrix_exponential
+from .linalg import as_matrix, as_vector, matrix_exponential, write_csv
 
 
 @dataclass
@@ -53,10 +53,8 @@ class Trajectory:
 
     def to_csv(self, path):
         d = self.states.shape[1]
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
-            for t, x in zip(self.times, self.states):
-                fh.write(format_entry(t) + "," + ",".join(format_entry(v) for v in x) + "\n")
+        return write_csv(path, "t," + ",".join(f"x{i + 1}" for i in range(d)),
+                         np.column_stack([self.times, self.states]).tolist())
 
 
 def _check_finite(x, step_index):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .blocks import relu, relu_prime
 from .errors import DegenerateGradientError, InvalidInputError
-from .linalg import format_entry
+from .linalg import write_csv
 
 
 def margin(logits):
@@ -49,11 +49,9 @@ def certified_radius(net, x, lipschitz_bound):
 
 
 def certificates_to_csv(path, certificates):
-    with open(path, "w") as fh:
-        fh.write("index,class,margin,lipschitz_bound,radius\n")
-        for i, c in enumerate(certificates):
-            fh.write(f"{i},{c.predicted_class},{format_entry(c.margin)},"
-                     f"{format_entry(c.lipschitz_bound)},{format_entry(c.radius)}\n")
+    return write_csv(path, "index,class,margin,lipschitz_bound,radius",
+                     [(i, c.predicted_class, float(c.margin), float(c.lipschitz_bound),
+                       float(c.radius)) for i, c in enumerate(certificates)])
 
 
 def composed_lipschitz_bound(net):

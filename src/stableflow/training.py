@@ -1,20 +1,21 @@
 """Losses, optimisers, learning-rate schedules, and the training loop.
 
-The loop keeps non-expansive blocks honest: after every optimiser step it
-advances each block's spectral estimate by one warm-started power iteration
-and re-derives the sub-step count from the step-size constraint.  That
-estimate can lag the true norm, so the loop ends by raising each count to
-cover the LAPACK norm: a trained network never leaves with an expansive step.
+The loop keeps non-expansive blocks honest: before the first step and after
+every optimiser step it re-derives each block's sub-step count from the
+LAPACK spectral norm of its weight (``NonExpansiveBlock.refresh_spectral``),
+so every step the network takes, and the network it leaves, is
+non-expansive.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocks import ClampedScale, NonExpansiveBlock
 from .errors import DivergedTrainingError, InvalidInputError
-from .linalg import format_entry
+from .linalg import write_csv
 
 
 # --- losses ----------------------------------------------------------------
@@ -136,7 +137,6 @@ class TrainConfig:
     margin_offset: float = 0.0
     loss: str = "mse"            # "mse" | "margin"
     seed: int = 0
-    spectral_warmup_iterations: int = 100
 
     def __post_init__(self):
         if self.lr_min > self.lr_peak:
@@ -164,31 +164,19 @@ class TrainLog:
     probes: list = field(default_factory=list)
 
     def export_csvs(self, out_dir, prefix):
-        import os
-
-        paths = []
-
-        def _write(name, header, rows):
-            path = os.path.join(out_dir, f"{prefix}_{name}.csv")
-            with open(path, "w") as fh:
-                fh.write(header + "\n")
-                for row in rows:
-                    fh.write(",".join(format_entry(v) if isinstance(v, float) else str(v)
-                                      for v in row) + "\n")
-            paths.append(path)
-
-        _write("loss", "step,loss,lr",
-               [(i, float(l), float(r)) for i, (l, r) in
-                enumerate(zip(self.step_loss, self.step_lr))])
+        tables = [("loss", "step,loss,lr",
+                   [(i, float(l), float(r)) for i, (l, r) in
+                    enumerate(zip(self.step_loss, self.step_lr))])]
         if self.epoch_accuracy:
-            _write("accuracy", "epoch,accuracy",
-                   [(i, float(a)) for i, a in enumerate(self.epoch_accuracy)])
+            tables.append(("accuracy", "epoch,accuracy",
+                           [(i, float(a)) for i, a in enumerate(self.epoch_accuracy)]))
         if self.step_counts:
-            _write("step_counts", "step,block,n_steps", self.step_counts)
+            tables.append(("step_counts", "step,block,n_steps", self.step_counts))
         if self.probes:
-            _write("probes", "step,from_layer,norm",
-                   [(s, f, float(v)) for s, f, v in self.probes])
-        return paths
+            tables.append(("probes", "step,from_layer,norm",
+                           [(s, f, float(v)) for s, f, v in self.probes]))
+        return [write_csv(os.path.join(out_dir, f"{prefix}_{name}.csv"), header, rows)
+                for name, header, rows in tables]
 
 
 def classification_accuracy(net, inputs, labels):
@@ -198,9 +186,9 @@ def classification_accuracy(net, inputs, labels):
 
 def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
           callback=None):
-    """Minibatch training with spectral-estimate refresh and step-count
-    adaptation after every optimiser step, and a final raise of each
-    non-expansive step count to cover the LAPACK spectral norm.
+    """Minibatch training that re-derives every non-expansive sub-step count
+    from its weight's spectral norm before the first and after every
+    optimiser step.
 
     ``targets`` are integer labels for the margin loss and float rows for
     mse.  ``callback(step, net)`` runs after each completed step.  Raises
@@ -223,13 +211,9 @@ def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
                     if isinstance(b, NonExpansiveBlock)]
     scales = [b for b in net.blocks if isinstance(b, ClampedScale)]
 
-    for _, block in nonexpansive:
-        block.refresh_spectral(cfg.spectral_warmup_iterations)
-        block.update_step_count()
-
     log = TrainLog()
     for idx, block in nonexpansive:
-        log.step_counts.append((0, idx, block.n_steps))
+        log.step_counts.append((0, idx, block.refresh_spectral()))
 
     order = rng.permutation(n)
     cursor = 0
@@ -271,9 +255,8 @@ def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
         net.mark_params_updated()
 
         for idx, block in nonexpansive:
-            block.refresh_spectral(1)
             previous = block.n_steps
-            if block.update_step_count() != previous:
+            if block.refresh_spectral() != previous:
                 log.step_counts.append((step + 1, idx, block.n_steps))
 
         log.step_loss.append(loss)
@@ -283,8 +266,4 @@ def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
         if eval_inputs is not None and (step + 1) % steps_per_epoch == 0:
             log.epoch_accuracy.append(
                 classification_accuracy(net, eval_inputs, eval_labels))
-    for idx, block in nonexpansive:
-        previous = block.n_steps
-        if block.cover_spectral_norm() != previous:
-            log.step_counts.append((total_steps, idx, block.n_steps))
     return log

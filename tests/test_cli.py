@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stableflow import cli, experiments, inverse
+from stableflow import cli, experiments, inverse, linalg
 from stableflow.blocks import (LinearLayer, Network, NonExpansiveBlock,
                                ResidualBlock, save_network)
 from stableflow.errors import StableflowError
@@ -121,9 +121,12 @@ class TestVerify:
                          "--out-dir", str(out), "--config", str(cfg)]) == 0
         rows = [line.split(",") for line in
                 read(out / "verify_spectral.csv").splitlines()[1:]]
-        expected = [(str(i), name, format_entry(np.linalg.norm(arr, 2)))
-                    for i, name, arr in net.parameters() if arr.ndim == 2]
+        weights = [(i, name, arr) for i, name, arr in net.parameters() if arr.ndim == 2]
+        expected = [(str(i), name, format_entry(linalg.spectral_norm(arr)))
+                    for i, name, arr in weights]
         assert [tuple(row[:3]) for row in rows] == expected
+        for (_, _, arr), row in zip(weights, rows):
+            assert abs(float(row[2]) - np.linalg.norm(arr, 2)) <= 1e-12
         assert all(row[-1] == "1" for row in rows)
 
     def test_tampered_checkpoint_fails(self, tmp_path):
