@@ -376,9 +376,6 @@ class HamiltonianBlock(Block):
 
     def _forward(self, xs, keep_cache):
         act, _ = ACTIVATIONS[self.activation]
-        if xs.shape[1] % 2 != 0:
-            raise InvalidInputError(
-                f"hamiltonian block needs an even input dimension, got {xs.shape[1]}")
         d = self.kin_weight.shape[1]
         if xs.shape[1] != 2 * d:
             raise InvalidInputError(f"expected dimension {2 * d}, got {xs.shape[1]}")
@@ -628,41 +625,24 @@ class Network:
         return g, (grads if params else None)
 
 
-def jacobian_norm_probe(net, x, from_layer, to_layer, iterations=50,
-                        fd_step=1e-7):
+def jacobian_norm_probe(net, x, from_layer, to_layer):
     """Spectral norm of d(state at to_layer) / d(state at from_layer) at the
-    orbit of ``x``, by power iteration on J^T J.
+    orbit of ``x``.
 
-    J v uses a forward difference of the sub-network; J^T u uses the exact
-    hand-derived backward pass.
+    The hand-derived backward pass pulls the identity back through the
+    sub-network, one output direction per row of a stack of copies of the
+    state, so its rows are the exact Jacobian.
     """
     if not (0 <= from_layer <= to_layer <= len(net.blocks)):
         raise InvalidInputError(
             f"invalid layer range [{from_layer}, {to_layer}] for {len(net.blocks)} blocks")
-    states = net.states(x)
-    x_from = np.asarray(states[from_layer], dtype=float)
     if from_layer == to_layer:
         return 1.0
-    f0 = net.forward(x_from, from_layer, to_layer)
-    delta = fd_step * (1.0 + float(np.max(np.abs(x_from))))
-
-    _, cache = net.forward_with_cache(x_from, from_layer, to_layer)
-
-    def jv(v):
-        return (net.forward(x_from + delta * v, from_layer, to_layer) - f0) / delta
-
-    def jtu(u):
-        g, _ = net.backward(cache, u, params=False)
-        return g
-
-    v = linalg.counter_seeded_unit(x_from.shape[0], 0)
-    for _ in range(iterations):
-        w = jtu(jv(v))
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            return 0.0
-        v = w / wn
-    return float(np.sqrt(np.linalg.norm(jtu(jv(v)))))
+    x_from = net.forward(x, 0, from_layer)
+    d_out = net.blocks[to_layer - 1].dim_out
+    _, cache = net.forward_with_cache(np.tile(x_from, (d_out, 1)), from_layer, to_layer)
+    jac, _ = net.backward(cache, np.eye(d_out), params=False)
+    return linalg.spectral_norm(jac)
 
 
 # --- checkpoints -----------------------------------------------------------

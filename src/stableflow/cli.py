@@ -42,11 +42,11 @@ class RunContext:
     becomes ``fail`` with the error's message.
     """
 
-    def __init__(self, subcommand, out_dir, seed, config):
+    def __init__(self, subcommand, out_dir, seed):
         self.subcommand = subcommand
         self.out_dir = out_dir
         self.seed = seed
-        self.config = dict(config)
+        self.config = {}
         self.outputs = []
         self.started = time.perf_counter()
         os.makedirs(out_dir, exist_ok=True)
@@ -133,7 +133,7 @@ def _resolved(defaults, file_config, args, keys):
 # --- subcommands -------------------------------------------------------------
 
 def cmd_oscillator(args, file_config):
-    with RunContext("oscillator", args.out_dir, args.seed, {}) as ctx:
+    with RunContext("oscillator", args.out_dir, args.seed) as ctx:
         cfg = _resolved({"h": 0.1, "steps": 500}, file_config, args, ["h", "steps"])
         ctx.config.update(cfg)
         result = experiments.oscillator_study(h=cfg["h"], n_steps=int(cfg["steps"]))
@@ -143,7 +143,7 @@ def cmd_oscillator(args, file_config):
 def cmd_swissroll(args, file_config):
     defaults = {"arch": "hnn", "layers": 12, "samples": 1000, "noise": 0.05,
                 "probe-every": 100, "epochs": 0}
-    with RunContext("swissroll", args.out_dir, args.seed, {}) as ctx:
+    with RunContext("swissroll", args.out_dir, args.seed) as ctx:
         cfg = _resolved(defaults, file_config, args, ["arch", "layers", "epochs"])
         ctx.config.update(cfg)
         settings = {"epochs": int(cfg["epochs"])} if int(cfg["epochs"]) else None
@@ -157,7 +157,7 @@ def cmd_swissroll(args, file_config):
 def cmd_inverse(args, file_config):
     defaults = {"n-train": 200, "n-test": 200, "epsilon": 0.25,
                 "noise-sigma": 0.1, "iterations": 10000}
-    with RunContext("inverse", args.out_dir, args.seed, {}) as ctx:
+    with RunContext("inverse", args.out_dir, args.seed) as ctx:
         cfg = _resolved(defaults, file_config, args, ["iterations"])
         ctx.config.update(cfg)
         result = experiments.inverse_study(
@@ -175,7 +175,7 @@ def cmd_robust(args, file_config):
     defaults = {"n-train": 6000, "n-test": 500, "epochs": 15, "n-iter": 100,
                 "weight-decay": 3e-4, "margin-offset": 0.5, "lr-peak": 1e-2,
                 "pool-factor": 2}
-    with RunContext("robust", args.out_dir, args.seed, {}) as ctx:
+    with RunContext("robust", args.out_dir, args.seed) as ctx:
         cfg = _resolved(defaults, file_config, args, ["epochs"])
         ctx.config.update(cfg)
         for path in (args.train_images, args.train_labels, args.test_images,
@@ -200,7 +200,7 @@ def cmd_robust(args, file_config):
 def cmd_lyapunov(args, file_config):
     defaults = {"mu": 2.0, "samples": 200, "iterations": 600,
                 "trajectories": 100, "traj-steps": 1000, "traj-h": 1e-3}
-    with RunContext("lyapunov", args.out_dir, args.seed, {}) as ctx:
+    with RunContext("lyapunov", args.out_dir, args.seed) as ctx:
         cfg = _resolved(defaults, file_config, args, [])
         ctx.config.update(cfg)
         result = experiments.lyapunov_study(
@@ -213,7 +213,7 @@ def cmd_lyapunov(args, file_config):
 
 def cmd_verify(args, file_config):
     defaults = {"n-pairs": 10000, "certificates": 50}
-    with RunContext("verify", args.out_dir, args.seed, {}) as ctx:
+    with RunContext("verify", args.out_dir, args.seed) as ctx:
         cfg = _resolved(defaults, file_config, args, [])
         ctx.config.update(cfg)
         net = blocks.load_network(args.checkpoint)
@@ -260,9 +260,9 @@ def cmd_verify(args, file_config):
         n_cert = int(cfg["certificates"])
         if net.dim_out >= 2 and n_cert > 0:
             points = rng.standard_normal((n_cert, net.dim_in))
-            certs = [stability.certified_radius(net, x, bound) for x in points]
             ctx.add(stability.certificates_to_csv(
-                os.path.join(args.out_dir, "verify_certificates.csv"), certs))
+                os.path.join(args.out_dir, "verify_certificates.csv"), bound,
+                *stability.certified_radius(net, points, bound)))
 
 
 def main(argv=None):

@@ -112,23 +112,19 @@ def grid_search_tau(model, xs, ys, taus):
     return tau_star, tikhonov_lipschitz(model, tau_star), errors
 
 
-def invert_tau_for_lipschitz(model, l_target, rel_tol=1e-10):
-    """Bisection on the monotone curve L(tau) to find tau with L(tau) = l_target."""
+def invert_tau_for_lipschitz(model, l_target):
+    """The tau with L(tau) = l_target.
+
+    sigma / (sigma^2 + tau) <= l exactly when tau >= sigma / l - sigma^2, so
+    the continuous, decreasing L first meets l_target at the largest of
+    these thresholds.
+    """
     s = model.singular_values
     l_max = 1.0 / float(np.min(s))
     if not 0.0 < l_target < l_max:
         raise InvalidInputError(
             f"target {l_target} outside the attainable range (0, {l_max})")
-    lo, hi = 0.0, 1.0
-    while tikhonov_lipschitz(model, hi) > l_target:
-        hi *= 2.0
-    while hi - lo > rel_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if tikhonov_lipschitz(model, mid) > l_target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(np.max(s / l_target - s * s))
 
 
 def build_invnet(l_bound, n_blocks=5, lift_dim=10, hidden_dim=10, seed=0,

@@ -153,8 +153,9 @@ def jacobi_eigenvalues(s, tol=1e-12, max_sweeps=100):
     computes all its rotations from the same matrix and applies them as
     whole-array row operations, first on ``w`` and then on its transpose.
     Sweeps run until the off-diagonal Frobenius norm drops below
-    ``tol * max(1, ||s||_F)``.  Used as an eigensolver oracle in tests and
-    for the one-sided Lipschitz estimate; independent of the power method.
+    ``tol * max(1, ||s||_F)``.  Serves ``spectral_norm_oracle``, which
+    bounds the residual, MLP and Hamiltonian blocks and checks other norms
+    in tests; independent of the power method and of LAPACK.
     """
     s = as_matrix(s)
     n, m = s.shape

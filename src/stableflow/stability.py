@@ -15,43 +15,30 @@ from .linalg import write_csv
 
 
 def margin(logits):
-    """(argmax class, top minus runner-up).  Ties resolve to the lowest index."""
+    """(argmax class, top minus runner-up) of each row of ``logits``.  Ties
+    resolve to the lowest index, with a zero margin."""
     logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 1 or logits.shape[0] < 2:
-        raise InvalidInputError(f"need at least 2 logits, got shape {logits.shape}")
-    cls = int(np.argmax(logits))
-    rest = np.delete(logits, cls)
-    return cls, float(logits[cls] - np.max(rest))
+    if logits.ndim != 2 or logits.shape[1] < 2:
+        raise InvalidInputError(f"need rows of at least 2 logits, got shape {logits.shape}")
+    top2 = np.sort(logits, axis=1)[:, -2:]
+    return np.argmax(logits, axis=1), top2[:, 1] - top2[:, 0]
 
 
-@dataclass
-class Certificate:
-    """A robustness certificate: every point within ``radius`` of ``input``
-    receives the same predicted class, provided ``lipschitz_bound`` really
-    bounds the network's Lipschitz constant."""
-
-    input: np.ndarray
-    predicted_class: int
-    margin: float
-    lipschitz_bound: float
-    radius: float
-
-
-def certified_radius(net, x, lipschitz_bound):
-    """Certificate with radius margin(x) / (2 * lipschitz_bound)."""
+def certified_radius(net, xs, lipschitz_bound):
+    """(classes, margins, radii) of the rows ``xs``, with radius
+    margin / (2 * lipschitz_bound): every point within it of a row receives
+    that row's class, provided ``lipschitz_bound`` really bounds the
+    network's Lipschitz constant."""
     if lipschitz_bound <= 0:
         raise InvalidInputError(f"Lipschitz bound must be positive, got {lipschitz_bound}")
-    x = np.asarray(x, dtype=float)
-    cls, m = margin(net.forward(x))
-    return Certificate(input=x, predicted_class=cls, margin=m,
-                       lipschitz_bound=float(lipschitz_bound),
-                       radius=m / (2.0 * lipschitz_bound))
+    classes, margins = margin(net.forward(xs))
+    return classes, margins, margins / (2.0 * lipschitz_bound)
 
 
-def certificates_to_csv(path, certificates):
+def certificates_to_csv(path, lipschitz_bound, classes, margins, radii):
     return write_csv(path, "index,class,margin,lipschitz_bound,radius",
-                     [(i, c.predicted_class, float(c.margin), float(c.lipschitz_bound),
-                       float(c.radius)) for i, c in enumerate(certificates)])
+                     [(i, c, m, float(lipschitz_bound), r)
+                      for i, (c, m, r) in enumerate(zip(classes, margins, radii))])
 
 
 def composed_lipschitz_bound(net):
@@ -75,13 +62,13 @@ def _fd_jacobian(func, x, step=1e-5):
     return jac
 
 
-def one_sided_lipschitz_estimate(field, samples, fd_step=1e-5):
+def one_sided_lipschitz_estimate(field, samples):
     """Largest eigenvalue of the symmetrised Jacobian of ``field`` over the
     samples; an empirical lower bound on the one-sided Lipschitz constant."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     best = -np.inf
     for x in samples:
-        jac = _fd_jacobian(lambda v: field.eval(0.0, v), x, step=fd_step)
+        jac = _fd_jacobian(lambda v: field.eval(0.0, v), x)
         sym = 0.5 * (jac + jac.T)
         best = max(best, float(np.linalg.eigvalsh(sym)[-1]))
     return best

@@ -300,9 +300,7 @@ def test_criterion_10_certification_attack_consistency(robust_runs):
     run = robust_runs[0]
     net = run.nets["nonexpansive"]
     bound = stability.composed_lipschitz_bound(net)
-    certs = [stability.certified_radius(net, x, bound) for x in run.test_inputs]
-    radii = np.array([c.radius for c in certs])
-    clean = np.array([c.predicted_class for c in certs])
+    clean, _, radii = stability.certified_radius(net, run.test_inputs, bound)
     certified_any = 0
     for eps, adv in run.attacked["nonexpansive"].items():
         preds = np.argmax(net.forward(adv), axis=1)

@@ -400,6 +400,23 @@ class TestJacobianNormProbe:
         value = jacobian_norm_probe(net, x, 0, 4)
         assert value <= product + 1e-6
 
+    def test_linear_stack_matches_product_norm(self, rng):
+        first, second = LinearLayer.random(5, 4, rng), LinearLayer.random(4, 3, rng)
+        value = jacobian_norm_probe(Network([first, second]), rng.standard_normal(5), 0, 2)
+        exact = np.linalg.norm(second.weight @ first.weight, 2)
+        assert abs(value - exact) <= 1e-12 * exact
+
+    def test_close_top_singular_values_match_svd(self):
+        # the top two singular values of this Jacobian are close, so a
+        # power iteration creeps up on the norm from below
+        rng = np.random.default_rng(0)
+        net = Network([HamiltonianBlock.random(2, rng, h=0.4) for _ in range(6)])
+        x = rng.standard_normal(4)
+        state = net.forward(x, 0, 5)
+        jac = fd_jacobian(lambda v: net.forward(v, 5, 6), state)
+        exact = np.linalg.norm(jac, 2)
+        assert abs(jacobian_norm_probe(net, x, 5, 6) - exact) <= 1e-6 * exact
+
     def test_invalid_range_rejected(self, rng):
         net = Network([LiftLayer(2, 3)])
         with pytest.raises(InvalidInputError):

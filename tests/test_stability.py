@@ -11,23 +11,25 @@ from stableflow.errors import DegenerateGradientError, InvalidInputError
 
 class TestMargin:
     def test_clear_winner(self):
-        assert stability.margin(np.array([3.0, 1.0, 0.0])) == (0, 2.0)
+        classes, margins = stability.margin(np.array([[3.0, 1.0, 0.0], [0.0, -1.0, 4.0]]))
+        assert classes.tolist() == [0, 2] and margins.tolist() == [2.0, 4.0]
 
     def test_tie_gives_zero_margin_and_lowest_index(self):
-        assert stability.margin(np.array([1.0, 1.0])) == (0, 0.0)
+        classes, margins = stability.margin(np.array([[1.0, 1.0], [0.0, 2.0], [5.0, 5.0]]))
+        assert classes.tolist() == [0, 1, 0] and margins.tolist() == [0.0, 2.0, 0.0]
 
     def test_single_logit_rejected(self):
         with pytest.raises(InvalidInputError):
-            stability.margin(np.array([1.0]))
+            stability.margin(np.array([[1.0]]))
 
     def test_permutation_equivariance(self, rng):
-        for _ in range(200):
-            logits = rng.standard_normal(6)
-            perm = rng.permutation(6)
-            cls, m = stability.margin(logits)
-            cls_p, m_p = stability.margin(logits[perm])
-            assert m_p == m
-            assert logits[perm][cls_p] == logits[cls]
+        logits = rng.standard_normal((200, 6))
+        permuted = np.array([row[rng.permutation(6)] for row in logits])
+        classes, margins = stability.margin(logits)
+        classes_p, margins_p = stability.margin(permuted)
+        assert np.array_equal(margins_p, margins)
+        rows = np.arange(200)
+        assert np.array_equal(permuted[rows, classes_p], logits[rows, classes])
 
 
 class TestCertifiedRadius:
@@ -36,44 +38,48 @@ class TestCertifiedRadius:
 
     def test_zero_margin_zero_radius(self, rng):
         net = Network([LinearLayer(np.zeros((2, 3)), np.zeros(2))])
-        cert = stability.certified_radius(net, rng.standard_normal(3), 1.0)
-        assert cert.margin == 0.0 and cert.radius == 0.0
+        classes, margins, radii = stability.certified_radius(
+            net, rng.standard_normal((5, 3)), 1.0)
+        assert np.all(classes == 0) and np.all(margins == 0.0) and np.all(radii == 0.0)
 
     def test_radius_formula(self, rng):
         net = self._net(rng)
-        x = rng.standard_normal(4)
+        xs = rng.standard_normal((6, 4))
         bound = 2.5
-        cert = stability.certified_radius(net, x, bound)
-        assert cert.radius == cert.margin / (2.0 * bound)
+        classes, margins, radii = stability.certified_radius(net, xs, bound)
+        assert np.array_equal(radii, margins / (2.0 * bound))
+        assert np.array_equal((classes, margins), stability.margin(net.forward(xs)))
 
     def test_nonpositive_bound_rejected(self, rng):
         with pytest.raises(InvalidInputError):
-            stability.certified_radius(self._net(rng), np.zeros(4), 0.0)
+            stability.certified_radius(self._net(rng), np.zeros((1, 4)), 0.0)
 
     def test_no_class_change_inside_radius(self, rng):
         net = self._net(rng)
         bound = stability.composed_lipschitz_bound(net)
-        for _ in range(10):
-            x = rng.standard_normal(4)
-            cert = stability.certified_radius(net, x, bound)
-            if cert.radius == 0.0:
+        xs = rng.standard_normal((10, 4))
+        classes, _, radii = stability.certified_radius(net, xs, bound)
+        for x, cls, radius in zip(xs, classes, radii):
+            if radius == 0.0:
                 continue
             directions = rng.standard_normal((100, 4))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            radii = rng.uniform(0, cert.radius * (1 - 1e-6), size=(100, 1))
-            probes = x + radii * directions
-            preds = np.argmax(net.forward(probes), axis=1)
-            assert np.all(preds == cert.predicted_class)
+            lengths = rng.uniform(0, radius * (1 - 1e-6), size=(100, 1))
+            preds = np.argmax(net.forward(x + lengths * directions), axis=1)
+            assert np.all(preds == cls)
 
     def test_csv_export(self, rng, tmp_path):
         net = self._net(rng)
-        certs = [stability.certified_radius(net, rng.standard_normal(4), 2.0)
-                 for _ in range(3)]
+        classes, margins, radii = stability.certified_radius(
+            net, rng.standard_normal((3, 4)), 2.0)
         path = tmp_path / "certs.csv"
-        stability.certificates_to_csv(path, certs)
+        stability.certificates_to_csv(path, 2.0, classes, margins, radii)
         lines = path.read_text().splitlines()
         assert lines[0] == "index,class,margin,lipschitz_bound,radius"
         assert len(lines) == 4
+        index, cls, m, bound, radius = lines[2].split(",")
+        assert (int(index), int(cls), float(bound)) == (1, classes[1], 2.0)
+        assert float(radius) == radii[1] and float(m) == margins[1]
 
 
 class TestComposedLipschitzBound:
