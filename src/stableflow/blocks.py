@@ -12,6 +12,7 @@ in place; callers must invalidate outstanding caches via
 ``Network.mark_params_updated`` afterwards.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -105,10 +106,12 @@ class NonExpansiveBlock(Block):
     """Explicit Euler sub-steps of the gradient flow of a convex potential:
     x <- x - h * W^T relu(W x + b) with h = total_time / n_steps.
 
-    The step is 1-Lipschitz whenever h <= 2 / ||W||_2^2.  ``refresh_spectral``
-    sets ``n_steps`` to the fewest sub-steps that meet it, from the LAPACK
-    norm; the constructor calls it, and so must any code that changes the
-    weight (``training.train`` does after every optimiser step).
+    The step is 1-Lipschitz whenever h <= 2 / ||W||_2^2.
+    ``refresh_step_counts`` sets ``n_steps`` to the fewest sub-steps that
+    meet it, from the LAPACK norm; the constructor does so unless it is given
+    a stored count, and so must any code that changes the weight
+    (``training.train`` does after every optimiser step, for all blocks at
+    once).
 
     The sub-steps run on the pre-activation z_k = x_k W^T + b (rows), with
     r_k = relu(z_k) and G = h W W^T:
@@ -124,7 +127,7 @@ class NonExpansiveBlock(Block):
     param_names = ("weight", "bias")
     checkpoint_attrs = (("total_time", float), ("n_steps", _step_count))
 
-    def __init__(self, weight, bias, total_time=1.0):
+    def __init__(self, weight, bias, total_time=1.0, n_steps=None):
         self.weight = np.array(weight, dtype=float)
         self.bias = np.array(bias, dtype=float)
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
@@ -132,7 +135,10 @@ class NonExpansiveBlock(Block):
         if total_time <= 0:
             raise InvalidInputError(f"total_time must be positive, got {total_time}")
         self.total_time = float(total_time)
-        self.refresh_spectral()
+        if n_steps is None:
+            self.refresh_spectral()
+        else:
+            self.n_steps = _step_count(n_steps)
 
     @classmethod
     def random(cls, dim, hidden, rng, total_time=1.0):
@@ -146,12 +152,9 @@ class NonExpansiveBlock(Block):
     dim_out = dim_in
 
     def refresh_spectral(self):
-        """Set ``n_steps`` to ceil(total_time ||W||_2^2 / 2), at least 1: the
-        smallest count whose h = total_time / n_steps meets h ||W||^2 <= 2.
-        Returns the count."""
-        norm = linalg.spectral_norm(self.weight)
-        self.n_steps = max(1, int(np.ceil(self.total_time * norm * norm / 2.0)))
-        return self.n_steps
+        """Re-derive ``n_steps`` from the weight (``refresh_step_counts``);
+        returns the count."""
+        return refresh_step_counts([self])[0]
 
     def _forward(self, xs, keep_cache):
         if self.n_steps < 1:
@@ -210,6 +213,22 @@ class NonExpansiveBlock(Block):
         # spectrum in [1 - h ||W||^2, 1]
         q = self.total_time / self.n_steps * linalg.spectral_norm(self.weight) ** 2
         return float(max(1.0, q - 1.0) ** self.n_steps)
+
+
+def refresh_step_counts(blocks):
+    """Set each non-expansive block's ``n_steps`` to
+    ceil(total_time ||W||_2^2 / 2), at least 1: the smallest count whose
+    h = total_time / n_steps meets h ||W||^2 <= 2.  Blocks whose weights
+    share a shape take one stacked spectral norm.  Returns the counts in
+    ``blocks`` order."""
+    groups = {}
+    for block in blocks:
+        groups.setdefault(block.weight.shape, []).append(block)
+    for group in groups.values():
+        norms = linalg.spectral_norm(np.stack([block.weight for block in group]))
+        for block, norm in zip(group, norms.tolist()):
+            block.n_steps = max(1, math.ceil(block.total_time * norm * norm / 2.0))
+    return [block.n_steps for block in blocks]
 
 
 class ResidualBlock(Block):
@@ -516,7 +535,8 @@ class ClampedScale(Block):
         self.bound = float(bound)
 
     def effective_scale(self):
-        return float(np.clip(self.value[0], -self.bound, self.bound))
+        # min/max pass a NaN through, as np.clip does
+        return min(max(float(self.value[0]), -self.bound), self.bound)
 
     def clamp(self):
         """Clamp the stored parameter in place (applied after optimiser steps)."""
@@ -711,7 +731,6 @@ def _load_block(directory, index, words):
     if missing:
         raise InvalidInputError(f"block {index} ({cls.kind}) lacks {', '.join(missing)}")
     kwargs = {name: parse(attrs[name]) for name, parse in cls.checkpoint_attrs}
-    n_steps = kwargs.pop("n_steps", None)  # block state, not a constructor argument
     names = [key[len("shape_"):] for key in attrs if key.startswith("shape_")]
     if names != list(cls.param_names):
         raise InvalidInputError(f"block {index} ({cls.kind}) stores parameters "
@@ -720,7 +739,4 @@ def _load_block(directory, index, words):
     for name in names:
         load = linalg.load_matrix if "x" in attrs[f"shape_{name}"] else linalg.load_vector
         params[name] = load(os.path.join(directory, f"block{index}_{name}.txt"))
-    block = cls(**params, **kwargs)
-    if n_steps is not None:
-        block.n_steps = n_steps
-    return block
+    return cls(**params, **kwargs)

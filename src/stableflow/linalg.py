@@ -93,12 +93,23 @@ def spectral_norm(a):
     """||a||_2, the square root of the top eigenvalue of the smaller Gram
     matrix (a a^T or a^T a) from LAPACK's symmetric eigensolver.
 
+    ``a`` is one matrix, which gives a float, or a stack of same-shape
+    matrices (k, m, n), which gives the k norms from one Gram product and
+    one eigensolve; each equals the norm of its matrix alone.
+
     The one source of sigma_max behind the sub-step counts, the non-expansive
     and linear Lipschitz bounds, and ``verify``'s step check.
     """
-    a = as_matrix(a)
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.size == 0:
+        raise InvalidInputError(
+            f"matrix must be a nonempty 2-d array or stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("matrix contains non-finite entries")
+    at = a.swapaxes(-1, -2)
+    gram = a @ at if a.shape[-2] <= a.shape[-1] else at @ a
+    norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return float(norms) if a.ndim == 2 else norms
 
 
 def matrix_exponential(a):

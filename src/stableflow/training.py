@@ -2,9 +2,9 @@
 
 The loop keeps non-expansive blocks honest: before the first step and after
 every optimiser step it re-derives each block's sub-step count from the
-LAPACK spectral norm of its weight (``NonExpansiveBlock.refresh_spectral``),
-so every step the network takes, and the network it leaves, is
-non-expansive.
+LAPACK spectral norm of its weight (``blocks.refresh_step_counts``, one
+stacked eigensolve per weight shape), so every step the network takes, and
+the network it leaves, is non-expansive.
 """
 
 import math
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ClampedScale, NonExpansiveBlock
+from .blocks import ClampedScale, NonExpansiveBlock, refresh_step_counts
 from .errors import DivergedTrainingError, InvalidInputError
 from .linalg import write_csv
 
@@ -81,31 +81,51 @@ def sgd_step(params, grads, lr):
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam's moments for a list of parameter arrays, each a flat vector
+    holding the arrays' entries one after another in list order."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params):
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+        size = sum(np.size(p) for p in params)
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(state, params, grads, lr, weight_decay=0.0,
               beta1=0.9, beta2=0.999, eps=1e-8):
     """Standard bias-corrected Adam step; the l2 penalty is added to the raw
-    gradients when weight_decay > 0.  Updates the parameters in place."""
+    gradients when weight_decay > 0.  Updates the parameters in place.
+
+    The moments and the step are computed once on the concatenated
+    gradients; each entry sees the same operations as a per-array loop."""
     state.t += 1
     correction1 = 1.0 - beta1 ** state.t
     correction2 = 1.0 - beta2 ** state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if weight_decay > 0.0:
-            g = g + weight_decay * p
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[i] / correction1
-        v_hat = state.v[i] / correction2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = np.concatenate(grads, axis=None)
+    if weight_decay > 0.0:
+        decay = np.concatenate(params, axis=None)
+        decay *= weight_decay
+        g += decay
+    g2 = g * g
+    g *= 1.0 - beta1
+    state.m *= beta1
+    state.m += g
+    g2 *= 1.0 - beta2
+    state.v *= beta2
+    state.v += g2
+    # lr * m_hat / (sqrt(v_hat) + eps), in the two scratch vectors
+    step = np.divide(state.m, correction1, out=g)
+    step *= lr
+    denom = np.sqrt(np.divide(state.v, correction2, out=g2), out=g2)
+    denom += eps
+    step /= denom
+    start = 0
+    for p in params:
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
     return state, params
 
 
@@ -205,15 +225,16 @@ def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
     steps_per_epoch = (n + batch - 1) // batch
     total_steps = cfg.iterations if cfg.iterations else cfg.epochs * steps_per_epoch
 
-    params = [arr for _, _, arr in net.parameters()]
+    named = net.parameters()
+    params = [arr for _, _, arr in named]
     adam_state = AdamState.for_params(params)
-    nonexpansive = [(i, b) for i, b in enumerate(net.blocks)
-                    if isinstance(b, NonExpansiveBlock)]
+    indices = [i for i, b in enumerate(net.blocks) if isinstance(b, NonExpansiveBlock)]
+    nonexpansive = [net.blocks[i] for i in indices]
     scales = [b for b in net.blocks if isinstance(b, ClampedScale)]
 
     log = TrainLog()
-    for idx, block in nonexpansive:
-        log.step_counts.append((0, idx, block.refresh_spectral()))
+    counts = refresh_step_counts(nonexpansive)
+    log.step_counts.extend((0, idx, n) for idx, n in zip(indices, counts))
 
     order = rng.permutation(n)
     cursor = 0
@@ -238,9 +259,7 @@ def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
         if not np.isfinite(loss):
             raise DivergedTrainingError("loss became non-finite", step=step)
         _, grads = net.backward(cache, gout)
-        flat_grads = []
-        for i, name, _ in net.parameters():
-            flat_grads.append(grads[i][name])
+        flat_grads = [grads[i][name] for i, name, _ in named]
 
         if cfg.optimiser == "adam":
             adam_step(adam_state, params, flat_grads, lr,
@@ -254,10 +273,10 @@ def train(net, inputs, targets, cfg, eval_inputs=None, eval_labels=None,
             block.clamp()
         net.mark_params_updated()
 
-        for idx, block in nonexpansive:
-            previous = block.n_steps
-            if block.refresh_spectral() != previous:
-                log.step_counts.append((step + 1, idx, block.n_steps))
+        previous = [block.n_steps for block in nonexpansive]
+        counts = refresh_step_counts(nonexpansive)
+        log.step_counts.extend((step + 1, idx, n) for idx, n, old
+                               in zip(indices, counts, previous) if n != old)
 
         log.step_loss.append(loss)
         log.step_lr.append(lr)

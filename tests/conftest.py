@@ -102,6 +102,31 @@ def nonexpansive_reference(block, x, grad_out):
     return xs.reshape(np.shape(x)), g.reshape(np.shape(x)), {"weight": gw, "bias": gb}
 
 
+class AdamReference:
+    """Adam as a loop over the parameter arrays, each with its own moments:
+    the oracle for ``training.adam_step``, which runs on one flat vector."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+    def step(self, params, grads, lr, weight_decay=0.0):
+        beta1, beta2 = self.beta1, self.beta2
+        self.t += 1
+        correction1 = 1.0 - beta1 ** self.t
+        correction2 = 1.0 - beta2 ** self.t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if weight_decay > 0.0:
+                g = g + weight_decay * p
+            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g
+            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * (g * g)
+            m_hat = self.m[i] / correction1
+            v_hat = self.v[i] / correction2
+            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 def canonical_skew(d):
     """The 2d x 2d canonical symplectic form [[0, I], [-I, 0]]."""
     top = np.hstack([np.zeros((d, d)), np.eye(d)])

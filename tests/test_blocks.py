@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (block_gradient_check, canonical_skew, fd_jacobian,
                       max_rel_err, nonexpansive_reference)
-from stableflow import blocks, linalg
+from stableflow import blocks, inverse, linalg
 from stableflow.blocks import (ClampedScale, HamiltonianBlock, LiftLayer,
                                LinearLayer, MLPLayer, Network,
                                NonExpansiveBlock, ProjectLayer, ResidualBlock,
@@ -96,6 +96,31 @@ class TestNonExpansiveBlock:
         block = NonExpansiveBlock(np.zeros((4, 4)), np.zeros(4))
         assert block.n_steps == 1
         assert block.refresh_spectral() == 1
+
+    def test_stored_step_count_skips_the_norm(self, monkeypatch):
+        monkeypatch.setattr(linalg, "spectral_norm", None)  # any call fails
+        block = NonExpansiveBlock(3.0 * np.eye(2), np.zeros(2), n_steps="2")
+        assert block.n_steps == 2
+        with pytest.raises(InvalidInputError):
+            NonExpansiveBlock(np.eye(2), np.zeros(2), n_steps=0)
+
+    def test_refresh_step_counts_match_the_per_block_formula(self, rng):
+        shapes = [(10, 10), (12, 10), (7, 20), (10, 10), (7, 20), (12, 10), (10, 10)]
+        group = []
+        for k, shape in enumerate(shapes):
+            weight = rng.standard_normal(shape) * rng.uniform(0.2, 2.0)
+            if k == 3:
+                weight[:] = 0.0
+            group.append(NonExpansiveBlock(weight, np.zeros(shape[0]),
+                                           total_time=0.5 + k, n_steps=99))
+        expected = []
+        for block in group:
+            norm = linalg.spectral_norm(block.weight)
+            expected.append(max(1, int(np.ceil(block.total_time * norm * norm / 2.0))))
+        assert blocks.refresh_step_counts(group) == expected
+        assert [block.n_steps for block in group] == expected
+        assert expected[3] == 1 and len(set(expected)) > 2
+        assert [block.refresh_spectral() for block in group] == expected
 
     def test_potential_field_lipschitz_bound(self, rng):
         # the underlying vector field W^T relu(Wx + b) is ||W||^2-Lipschitz
@@ -372,6 +397,23 @@ class TestNetwork:
         older = blocks.load_network(first)
         assert older.blocks[1].n_steps == 7
         assert np.array_equal(older.forward(x), net.forward(x))
+
+    def test_checkpoint_load_keeps_stored_counts_without_a_norm(self, tmp_path, monkeypatch):
+        # weights x3 break the stored counts' step constraint; the loader
+        # must keep the counts and run no eigensolve to discard
+        net = inverse.build_invnet(2.0, seed=0)
+        for block in net.nonexpansive_blocks():
+            block.weight *= 3.0
+        blocks.save_network(net, tmp_path)
+        stored = [block.n_steps for block in net.nonexpansive_blocks()]
+        calls = []
+        monkeypatch.setattr(linalg, "spectral_norm", lambda a: calls.append(a))
+        loaded = blocks.load_network(tmp_path).nonexpansive_blocks()
+        monkeypatch.undo()
+        assert calls == []
+        assert [block.n_steps for block in loaded] == stored
+        refreshed = blocks.refresh_step_counts(loaded)
+        assert all(n > m for n, m in zip(refreshed, stored))
 
 
 class TestJacobianNormProbe:

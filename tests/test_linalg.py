@@ -102,6 +102,34 @@ class TestMatrixExponential:
             linalg.matrix_exponential(np.ones((2, 3)))
 
 
+class TestSpectralNorm:
+    @pytest.mark.parametrize("shape", [(4, 9), (9, 4), (6, 6)],
+                             ids=["wide", "tall", "square"])
+    def test_stack_matches_single_calls(self, rng, shape):
+        stack = rng.standard_normal((5,) + shape) * rng.uniform(0.1, 10.0, (5, 1, 1))
+        stack[2] = 0.0
+        singles = [linalg.spectral_norm(a) for a in stack]
+        assert all(type(s) is float for s in singles)
+        norms = linalg.spectral_norm(stack)
+        assert norms.shape == (5,)
+        assert norms.tolist() == singles
+        assert singles[2] == 0.0
+        for a, s in zip(stack, singles):
+            assert abs(s - np.linalg.norm(a, 2)) <= 1e-12 * max(1.0, s)
+
+    def test_zero_stack(self):
+        assert linalg.spectral_norm(np.zeros((3, 2, 5))).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("bad", [
+        np.ones(3), np.ones((2, 2, 2, 2)), np.ones((0, 3)), np.ones((0, 3, 3)),
+        np.ones((2, 0, 3)), np.array([[1.0, np.nan]]),
+        np.array([[[1.0, 2.0]], [[np.inf, 0.0]]]),
+    ], ids=["1-d", "4-d", "empty", "empty-stack", "empty-matrices", "nan", "inf-stack"])
+    def test_malformed_input_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            linalg.spectral_norm(bad)
+
+
 class TestSpectralNormOracle:
     def test_diagonal_case(self):
         assert abs(linalg.spectral_norm_oracle(np.array([[3.0, 0], [0, 4.0]])) - 4.0) <= 1e-12

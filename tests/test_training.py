@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fd_input_gradient
+from conftest import AdamReference, fd_input_gradient
 from stableflow import training
 from stableflow.blocks import LinearLayer, Network, NonExpansiveBlock
 from stableflow.errors import DivergedTrainingError, InvalidInputError
@@ -98,6 +98,25 @@ class TestOptimisers:
         state = AdamState.for_params(params)
         adam_step(state, params, [np.zeros(1)], lr=0.1, weight_decay=1e-2)
         assert params[0][0] < 10.0
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_adam_matches_the_per_array_loop(self, rng, weight_decay):
+        shapes = [(4, 3), (3,), (1,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        live = list(params)
+        expected = [p.copy() for p in params]
+        state = AdamState.for_params(params)
+        oracle = AdamReference(expected)
+        for k in range(5):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            kept = [g.copy() for g in grads]
+            adam_step(state, params, grads, lr=0.01 * (k + 1), weight_decay=weight_decay)
+            oracle.step(expected, kept, lr=0.01 * (k + 1), weight_decay=weight_decay)
+            assert all(np.array_equal(g, c) for g, c in zip(grads, kept))
+            assert all(np.array_equal(p, q) for p, q in zip(params, expected)), k
+        assert all(p is q for p, q in zip(params, live))  # updated in place
+        assert np.array_equal(state.m, np.concatenate(oracle.m, axis=None))
+        assert np.array_equal(state.v, np.concatenate(oracle.v, axis=None))
 
 
 class TestOneCycle:
@@ -229,6 +248,34 @@ class TestTrainLoop:
                     np.zeros((4, 2)), cfg)
         assert block.n_steps == 3
         assert log.step_counts == [(0, 0, 3)]
+
+    def test_step_counts_log_matches_per_block_refreshes(self, rng):
+        # two weight shapes, interleaved; replay every recorded weight through
+        # refresh_spectral one block at a time, as the log was kept per block
+        widths = (6, 9, 6, 9)
+        net = Network([NonExpansiveBlock.random(6, h, rng) for h in widths])
+        for block in net.blocks:
+            block.weight *= 2.5
+        snapshots = [[b.weight.copy() for b in net.blocks]]
+
+        def record(step, net_):
+            snapshots.append([b.weight.copy() for b in net_.blocks])
+
+        cfg = TrainConfig(iterations=40, batch_size=16, optimiser="adam",
+                          lr_min=0.05, lr_peak=0.05, loss="mse", seed=2)
+        log = train(net, rng.standard_normal((32, 6)),
+                    rng.standard_normal((32, 6)) * 0.1, cfg, callback=record)
+        replay = [NonExpansiveBlock(b.weight, b.bias, b.total_time) for b in net.blocks]
+        expected = []
+        for step, weights in enumerate(snapshots):
+            for idx, (block, weight) in enumerate(zip(replay, weights)):
+                previous = block.n_steps
+                block.weight[:] = weight
+                if block.refresh_spectral() != previous or step == 0:
+                    expected.append((step, idx, block.n_steps))
+        assert log.step_counts == expected
+        assert len(expected) > len(widths)  # some counts moved during the run
+        assert [b.n_steps for b in net.blocks] == [b.n_steps for b in replay]
 
     def test_epoch_accuracy_logged(self, rng):
         xs = rng.standard_normal((40, 3))
